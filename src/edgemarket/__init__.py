@@ -36,6 +36,7 @@ from edgemarket.market import (
 from edgemarket.queueing import (
     StageParams,
     ViolationModel,
+    ViolationProfile,
     chernoff_eta,
     chernoff_g,
     erlang_c,
@@ -70,6 +71,7 @@ __all__ = [
     "TaskSpec",
     "UserTypePopulation",
     "ViolationModel",
+    "ViolationProfile",
     "check_feasibility",
     "check_ic_ir",
     "chernoff_eta",

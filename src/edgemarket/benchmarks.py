@@ -19,8 +19,6 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
-    OperatorSpec,
-    TaskSpec,
     menu_from_obj,
     menu_to_obj,
     optimize_menu_with_profile,
@@ -35,7 +33,6 @@ from edgemarket.market import (
     project_matching,
     run_fixed_point,
 )
-from edgemarket.queueing import ViolationModel, violation_prob
 from edgemarket.scenario import Scenario
 
 METHODS = ("OURS", "CT", "MC", "GSMC")
@@ -66,17 +63,6 @@ class BenchmarkResult:
     def __post_init__(self) -> None:
         if self.name not in METHODS:
             raise DomainError(f"name must be one of {METHODS}, got {self.name!r}")
-
-
-def _single_violation(
-    spec: OperatorSpec, task: TaskSpec, load: float, zeta: float, latency: float
-) -> float:
-    from edgemarket.contracts import stage_params_for
-
-    stages = stage_params_for(spec, task, load)
-    if not all(s.is_stable for s in stages):
-        return 1.0
-    return violation_prob(ViolationModel.from_stages(stages, zeta), latency)
 
 
 def posted_menus(
@@ -129,9 +115,9 @@ def greedy_selection(
             if assigned[m] + traffic > caps[m] + 1e-9:
                 continue
             item = menus[m].items[n]
-            viol = _single_violation(
-                spec, task, assigned[m] + traffic, cfg.zeta, item.latency
-            )
+            viol = violation_profile(
+                spec, task, [assigned[m] + traffic], cfg.zeta
+            ).prob(0, item.latency)
             u = user_utility(item, pop.betas[n], pop.alpha_worst, spec.quality,
                              viol, spec.refund)
             if best_u is None or u > best_u + _TIE_TOL:
@@ -215,10 +201,12 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))
     for m, spec in enumerate(scenario.operators):
-        fns = violation_profile(spec, task, design0[m], cfg.zeta)
+        viols = violation_profile(spec, task, design0[m], cfg.zeta).probs(
+            menus[m].latencies
+        )
         for n in range(pop.n_types):
             item = menus[m].items[n]
-            viol = fns[n](item.latency)
+            viol = viols[n]
             utilities[n, m] = user_utility(
                 item, pop.betas[n], pop.alpha_worst, spec.quality, viol, spec.refund
             )

@@ -212,9 +212,10 @@ def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
     menus, design = benchmarks.posted_menus(scenario)
     worst = np.inf
     for m, spec in enumerate(scenario.operators):
-        fns = violation_profile(spec, scenario.task, design[m], scenario.solver.zeta)
+        profile = violation_profile(spec, scenario.task, design[m],
+                                    scenario.solver.zeta)
         report = check_ic_ir(menus[m], scenario.population, spec.quality,
-                             spec.refund, fns)
+                             spec.refund, profile)
         worst = min(worst, report.ic_slack, report.ir_slack)
     return worst >= -1e-9, f"worst constraint slack {worst:.3e}"
 
@@ -233,17 +234,17 @@ def _validate_small_menu_oracle(scenario: Scenario) -> tuple[bool, str]:
     delta = scenario.task.arrival_rate_per_user
     masses = [c * delta for c in small.counts]
     congestion = np.cumsum(masses)
-    fns = violation_profile(spec, scenario.task, congestion, scenario.solver.zeta)
+    profile = violation_profile(spec, scenario.task, congestion, scenario.solver.zeta)
     bounds = scenario.solver.latency_bounds
-    menu = optimize_menu_with_profile(small, spec, masses, fns, bounds)
-    solved = menu_objective(menu.latencies, small, spec, masses, fns)
+    menu = optimize_menu_with_profile(small, spec, masses, profile, bounds)
+    solved = menu_objective(menu.latencies, small, spec, masses, profile)
     grid = np.linspace(bounds[0], bounds[1], 40)
     best = -np.inf
     for i in range(40):
         for j in range(i, 40):
             for k in range(j, 40):
                 lats = (grid[i], grid[j], grid[k])
-                best = max(best, menu_objective(lats, small, spec, masses, fns))
+                best = max(best, menu_objective(lats, small, spec, masses, profile))
     gap = (best - solved) / max(abs(best), 1e-12)
     return gap <= 1e-3, f"objective gap {gap:.3e} vs 40-point grid"
 

@@ -21,9 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from edgemarket.errors import DomainError
-from edgemarket.queueing import StageParams, ViolationModel, stage_rate
-
-ViolationFn = Callable[[float], float]
+from edgemarket.queueing import StageParams, ViolationProfile, stage_rate
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -189,52 +187,31 @@ def stage_params_for(
     )
 
 
-def _pinned_violation(_t: float) -> float:
-    return 1.0
-
-
-def _bound_curve(eta: float, g_product: float) -> ViolationFn:
-    def curve(t: float) -> float:
-        value = g_product * math.exp(-eta * t)
-        return 1.0 if value > 1.0 else value
-
-    return curve
-
-
 def violation_profile(
     spec: OperatorSpec,
     task: TaskSpec,
     congestion: Sequence[float],
     zeta: float,
-) -> list[ViolationFn]:
-    """Per-type violation-probability curves at the given cumulative loads.
+) -> ViolationProfile:
+    """Per-type (eta, g) violation bounds at the given cumulative loads.
 
-    Types whose load leaves any stage unstable get the curve pinned at 1, so
-    downstream solves and selections can still evaluate an overloaded operator.
+    Types whose load leaves any stage unstable are pinned at 1, so downstream
+    solves and selections can still evaluate an overloaded operator.
     """
-    fns: list[ViolationFn] = []
-    for lam in congestion:
-        stages = stage_params_for(spec, task, float(lam))
-        if all(s.is_stable for s in stages):
-            model = ViolationModel.from_stages(stages, zeta)
-            fns.append(_bound_curve(model.eta, model.g_product))
-        else:
-            fns.append(_pinned_violation)
-    return fns
+    stages = stage_params_for(spec, task, 0.0)
+    return ViolationProfile.at_loads(
+        tuple(s.servers for s in stages),
+        tuple(s.unit_rate for s in stages),
+        congestion,
+        zeta,
+    )
 
 
-def _per_type_fns(
-    violation_fn: ViolationFn | Sequence[ViolationFn], n_types: int
-) -> list[ViolationFn]:
-    # A single callable means every item shares one congestion level.
-    if callable(violation_fn):
-        return [violation_fn] * n_types
-    fns = list(violation_fn)
-    if len(fns) != n_types:
+def _check_profile(profile: ViolationProfile, n_types: int) -> None:
+    if len(profile) != n_types:
         raise DomainError(
-            f"violation_fn sequence must have {n_types} entries, got {len(fns)}"
+            f"violation profile must have {n_types} entries, got {len(profile)}"
         )
-    return fns
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +251,7 @@ def recover_rewards(
     population: UserTypePopulation,
     quality: float,
     refund: float,
-    violation_fn: ViolationFn | Sequence[ViolationFn],
+    profile: ViolationProfile,
 ) -> list[float]:
     """Prices that bind participation at type 1 and each downward-adjacent
     incentive constraint exactly, given a nondecreasing latency schedule."""
@@ -286,15 +263,16 @@ def recover_rewards(
     for prev, cur in zip(lats, lats[1:]):
         if cur < prev:
             raise DomainError("latencies must be nondecreasing")
-    fns = _per_type_fns(violation_fn, population.n_types)
+    _check_profile(profile, population.n_types)
+    viols = profile.probs(lats)
     betas = population.betas
     prices = [population.alpha_worst * quality - betas[0] * lats[0]
-              + refund * fns[0](lats[0])]
+              + refund * viols[0]]
     for n in range(1, population.n_types):
         prices.append(
             prices[n - 1]
             - betas[n] * (lats[n] - lats[n - 1])
-            + refund * (fns[n](lats[n]) - fns[n - 1](lats[n - 1]))
+            + refund * (viols[n] - viols[n - 1])
         )
     return prices
 
@@ -304,11 +282,11 @@ def _utility_matrix(
     population: UserTypePopulation,
     quality: float,
     refund: float,
-    fns: list[ViolationFn],
+    profile: ViolationProfile,
 ) -> list[list[float]]:
     # u[n][j]: type n's utility from item j; the violation level belongs to the
     # item (it is a property of the priority class serving it).
-    viols = [fns[j](menu.items[j].latency) for j in range(len(menu.items))]
+    viols = profile.probs(menu.latencies)
     return [
         [
             user_utility(menu.items[j], population.betas[n], population.alpha_worst,
@@ -343,14 +321,14 @@ def check_feasibility(
     population: UserTypePopulation,
     quality: float,
     refund: float,
-    violation_fn: ViolationFn | Sequence[ViolationFn],
+    profile: ViolationProfile,
 ) -> FeasibilityReport:
     """Sufficient conditions: monotone latencies, participation of the most
     latency-sensitive type, and both adjacent incentive directions."""
     if len(menu.items) != population.n_types:
         raise DomainError("menu length must match the number of types")
-    fns = _per_type_fns(violation_fn, population.n_types)
-    u = _utility_matrix(menu, population, quality, refund, fns)
+    _check_profile(profile, population.n_types)
+    u = _utility_matrix(menu, population, quality, refund, profile)
     n_types = population.n_types
     lats = menu.latencies
     monotone = min(
@@ -390,14 +368,14 @@ def check_ic_ir(
     population: UserTypePopulation,
     quality: float,
     refund: float,
-    violation_fn: ViolationFn | Sequence[ViolationFn],
+    profile: ViolationProfile,
 ) -> ScreeningReport:
     """Exhaustive check over all N(N-1) incentive pairs and N participation
     constraints."""
     if len(menu.items) != population.n_types:
         raise DomainError("menu length must match the number of types")
-    fns = _per_type_fns(violation_fn, population.n_types)
-    u = _utility_matrix(menu, population, quality, refund, fns)
+    _check_profile(profile, population.n_types)
+    u = _utility_matrix(menu, population, quality, refund, profile)
     n_types = population.n_types
     ic_slack, ic_pair = math.inf, None
     for n in range(n_types):
@@ -510,7 +488,7 @@ def _latency_terms(
     population: UserTypePopulation,
     spec: OperatorSpec,
     masses: list[float],
-    fns: list[ViolationFn],
+    profile: ViolationProfile,
 ) -> list[Callable[[float], float]]:
     """Per-type scalar objectives whose sum the negated menu profit reduces to.
 
@@ -526,12 +504,20 @@ def _latency_terms(
     betas = list(population.betas) + [0.0]
     margin = spec.violation_cost - spec.refund
     terms = []
-    for n in range(n_types):
+    for n, (eta, g) in enumerate(zip(profile.eta.tolist(), profile.g.tolist())):
         linear = betas[n] * tail[n] - betas[n + 1] * tail[n + 1]
-        weight = masses[n] * margin
-        fn = fns[n]
-        terms.append(lambda x, a=linear, w=weight, f=fn: a * x + w * f(x))
+        terms.append(_latency_term(linear, masses[n] * margin, eta, g))
     return terms
+
+
+def _latency_term(a: float, w: float, eta: float, g: float) -> Callable[[float], float]:
+    # a*x + w*min(1, g*exp(-eta*x)) with ViolationProfile.prob inlined: the
+    # minimiser evaluates terms millions of times per solve.
+    def term(x: float) -> float:
+        value = g * math.exp(-eta * x)
+        return a * x + w * (1.0 if value > 1.0 else value)
+
+    return term
 
 
 def menu_objective(
@@ -539,7 +525,7 @@ def menu_objective(
     population: UserTypePopulation,
     spec: OperatorSpec,
     demand_masses: Sequence[float],
-    violation_fn: ViolationFn | Sequence[ViolationFn],
+    profile: ViolationProfile,
 ) -> float:
     """Expected profit rate of the menu a latency schedule induces.
 
@@ -547,13 +533,12 @@ def menu_objective(
     used both by the optimizer's tests and by best-response audits.
     """
     masses = _resolve_masses(demand_masses, population)
-    fns = _per_type_fns(violation_fn, population.n_types)
-    prices = recover_rewards(latencies, population, spec.quality, spec.refund, fns)
+    lats = [float(x) for x in latencies]
+    prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
+    viols = profile.probs(lats)
     total = 0.0
     for n in range(population.n_types):
-        total += masses[n] * (
-            prices[n] - spec.violation_cost * fns[n](float(latencies[n]))
-        )
+        total += masses[n] * (prices[n] - spec.violation_cost * viols[n])
     return total
 
 
@@ -572,9 +557,9 @@ def optimize_menu(
     curves are evaluated at; demand_masses holds the per-type traffic the
     objective weights by.
     """
-    fns = violation_profile(spec, task, congestion, zeta)
+    profile = violation_profile(spec, task, congestion, zeta)
     return optimize_menu_with_profile(
-        population, spec, demand_masses, fns, latency_bounds
+        population, spec, demand_masses, profile, latency_bounds
     )
 
 
@@ -582,18 +567,19 @@ def optimize_menu_with_profile(
     population: UserTypePopulation,
     spec: OperatorSpec,
     demand_masses: Sequence[float],
-    violation_fns: Sequence[ViolationFn],
+    profile: ViolationProfile,
     latency_bounds: tuple[float, float] = (1e-3, 10.0),
 ) -> ContractMenu:
-    """Same solve with violation curves already built (hot path in the market loop)."""
+    """Same solve with the violation profile already built (hot path in the
+    market loop)."""
     lo, hi = latency_bounds
     if not 0.0 < lo < hi:
         raise DomainError(f"latency bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
     masses = _resolve_masses(demand_masses, population)
-    fns = _per_type_fns(list(violation_fns), population.n_types)
-    terms = _latency_terms(population, spec, masses, fns)
+    _check_profile(profile, population.n_types)
+    terms = _latency_terms(population, spec, masses, profile)
     lats = _isotonic_minimize(terms, lo, hi)
-    prices = recover_rewards(lats, population, spec.quality, spec.refund, fns)
+    prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
     return ContractMenu(
         tuple(ContractItem(lat, price) for lat, price in zip(lats, prices))
     )
@@ -609,32 +595,31 @@ def social_welfare(
     population: UserTypePopulation,
     task: TaskSpec,
     specs: Sequence[OperatorSpec],
-    congestion: np.ndarray,
-    zeta: float,
+    profiles: Sequence[ViolationProfile],
     opt_out_utility: float = 0.0,
 ) -> float:
     """Operator surplus plus user surplus under a (possibly mixed) matching.
 
-    matching is N x (M+1) with the opt-out column first; congestion is M x N
-    cumulative loads. User utility accrues per task, so each type's surplus is
-    weighted by its served task rate and prices cancel between the two sides.
+    matching is N x (M+1) with the opt-out column first; profiles holds each
+    operator's violation profile at the loads the matching induces. User
+    utility accrues per task, so each type's surplus is weighted by its served
+    task rate and prices cancel between the two sides.
     """
     z = np.asarray(matching, dtype=float)
-    cong = np.asarray(congestion, dtype=float)
     n_types = population.n_types
     delta = task.arrival_rate_per_user
     if z.shape != (n_types, len(menus) + 1):
         raise DomainError(
             f"matching must be {(n_types, len(menus) + 1)}, got {z.shape}"
         )
-    if cong.shape != (len(menus), n_types):
+    if len(profiles) != len(menus):
         raise DomainError(
-            f"congestion must be {(len(menus), n_types)}, got {cong.shape}"
+            f"profiles must have {len(menus)} entries, got {len(profiles)}"
         )
     total = 0.0
-    for m, (menu, spec) in enumerate(zip(menus, specs)):
-        fns = violation_profile(spec, task, cong[m], zeta)
-        viols = [fns[n](menu.items[n].latency) for n in range(n_types)]
+    for m, (menu, spec, profile) in enumerate(zip(menus, specs, profiles)):
+        _check_profile(profile, n_types)
+        viols = profile.probs(menu.latencies)
         loads = [population.counts[n] * z[n, m + 1] * delta for n in range(n_types)]
         total += operator_utility(menu, loads, spec, viols)
         for n in range(n_types):

@@ -13,9 +13,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
-from edgemarket.benchmarks import METHODS, BenchmarkResult, run_method
+from edgemarket.benchmarks import METHODS, run_method
 from edgemarket.errors import DomainError
-from edgemarket.market import MatchingMetrics, evaluate_matching
 from edgemarket.scenario import (
     Scenario,
     default_betas,
@@ -40,11 +39,6 @@ _MEAN_FIELDS = (
     "axis", "value", "method", "replicates",
     "total_operator_utility", "social_welfare", "converged_share", "runtime_s",
 )
-
-
-def metrics(result: BenchmarkResult, scenario: Scenario) -> MatchingMetrics:
-    """Recompute a result's totals from its assignment and menus."""
-    return evaluate_matching(result.assignment, result.menus, scenario)
 
 
 def scenario_for_cell(

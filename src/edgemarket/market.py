@@ -20,7 +20,6 @@ from edgemarket.contracts import (
     OperatorSpec,
     TaskSpec,
     UserTypePopulation,
-    ViolationFn,
     menu_objective,
     operator_utility,
     optimize_menu_with_profile,
@@ -30,6 +29,7 @@ from edgemarket.contracts import (
     violation_profile,
 )
 from edgemarket.errors import DomainError, SetupError
+from edgemarket.queueing import ViolationProfile
 from edgemarket.scenario import Scenario, SolverConfig
 
 
@@ -109,17 +109,6 @@ class CongestionVector:
         if np.any(np.diff(arr, axis=1) < -1e-9):
             raise DomainError("loads must be cumulative (nondecreasing per operator)")
         object.__setattr__(self, "loads", arr)
-
-
-@dataclass(frozen=True)
-class MarketState:
-    """One snapshot of the loop."""
-
-    menus: tuple[ContractMenu, ...]
-    matching: MixedMatching
-    prices: ShadowPrices
-    temperature: float
-    iteration: int
 
 
 @dataclass
@@ -309,17 +298,17 @@ def check_floor_feasible(scenario: Scenario) -> None:
 
 def _utility_matrix(
     menus: tuple[ContractMenu, ...],
-    profiles: list[list[ViolationFn]],
+    profiles: list[ViolationProfile],
     scenario: Scenario,
 ) -> np.ndarray:
     pop = scenario.population
     out = np.empty((pop.n_types, len(menus)))
     for m, (menu, spec) in enumerate(zip(menus, scenario.operators)):
+        viols = profiles[m].probs(menu.latencies)
         for n in range(pop.n_types):
-            item = menu.items[n]
             out[n, m] = user_utility(
-                item, pop.betas[n], pop.alpha_worst, spec.quality,
-                profiles[m][n](item.latency), spec.refund,
+                menu.items[n], pop.betas[n], pop.alpha_worst, spec.quality,
+                viols[n], spec.refund,
             )
     return out
 
@@ -595,7 +584,7 @@ def verify_selection_equilibrium(
         )
         improved = menu_objective(resolved.latencies, pop, spec, demand, profiles[m])
         gains.append(improved - current)
-        viols = [profiles[m][n](menus[m].items[n].latency) for n in range(pop.n_types)]
+        viols = profiles[m].probs(menus[m].latencies)
         op_utils.append(operator_utility(menus[m], demand, spec, viols))
 
     gain_ratios = [
@@ -641,18 +630,21 @@ def evaluate_matching(
     matching = MixedMatching(np.asarray(matching_probs, dtype=float))
     congestion = cumulative_load(matching, pop, task.arrival_rate_per_user)
     delta = task.arrival_rate_per_user
+    profiles = [
+        violation_profile(spec, task, congestion.loads[m], cfg.zeta)
+        for m, spec in enumerate(scenario.operators)
+    ]
     per_op = []
     for m, spec in enumerate(scenario.operators):
-        fns = violation_profile(spec, task, congestion.loads[m], cfg.zeta)
-        viols = [fns[n](menus[m].items[n].latency) for n in range(pop.n_types)]
+        viols = profiles[m].probs(menus[m].latencies)
         loads = [
             pop.counts[n] * matching.probs[n, m + 1] * delta
             for n in range(pop.n_types)
         ]
         per_op.append(operator_utility(menus[m], loads, spec, viols))
     welfare = social_welfare(
-        menus, matching.probs, pop, task, scenario.operators,
-        congestion.loads, cfg.zeta, cfg.opt_out_utility,
+        menus, matching.probs, pop, task, scenario.operators, profiles,
+        cfg.opt_out_utility,
     )
     return MatchingMetrics(
         total_operator_utility=float(sum(per_op)),

@@ -9,6 +9,7 @@ Chernoff/MGF argument sharing one exponent across stages.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,7 +117,10 @@ def erlang_c(servers: int, arrival_rate: float, unit_rate: float) -> float:
     offered = arrival_rate / unit_rate
     blocking = 1.0
     for k in range(1, servers + 1):
-        blocking = offered * blocking / (k + offered * blocking)
+        t = offered * blocking
+        blocking = t / (k + t)
+        if blocking == 0.0:
+            break  # underflowed: every later step maps 0 to 0
     rho = offered / servers
     return blocking / (1.0 - rho * (1.0 - blocking))
 
@@ -206,6 +210,110 @@ def violation_prob(model: ViolationModel, t: float) -> float:
     if t < 0.0:
         raise DomainError(f"t must be >= 0, got {t}")
     return min(1.0, model.g_product * math.exp(-model.eta * t))
+
+
+@dataclass(frozen=True, eq=False)
+class ViolationProfile:
+    """Per-type bounds min(1, g_n * exp(-eta_n t)) at one operator's loads.
+
+    A pinned type (some stage unstable at its load) has eta 0 and g 1, so its
+    bound is 1 at every latency. Curves are read with `math.exp` on Python
+    floats, the arithmetic `violation_prob` does on a `ViolationModel`.
+    """
+
+    eta: np.ndarray
+    g: np.ndarray
+
+    def __post_init__(self) -> None:
+        eta = np.array(self.eta, dtype=float)
+        g = np.array(self.g, dtype=float)
+        if eta.ndim != 1 or eta.shape != g.shape:
+            raise DomainError(
+                f"eta and g must be vectors of one length, got shapes "
+                f"{eta.shape} and {g.shape}"
+            )
+        if not ((eta >= 0.0).all() and (g >= 0.0).all()):
+            raise DomainError("eta and g must be >= 0")
+        eta.setflags(write=False)
+        g.setflags(write=False)
+        object.__setattr__(self, "eta", eta)
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "_curves", tuple(zip(eta.tolist(), g.tolist())))
+
+    def __len__(self) -> int:
+        return len(self._curves)
+
+    def prob(self, n: int, t: float) -> float:
+        """Type n's violation bound at agreed latency t."""
+        eta, g = self._curves[n]
+        value = g * math.exp(-eta * t)
+        return 1.0 if value > 1.0 else value
+
+    def probs(self, latencies: Sequence[float]) -> list[float]:
+        """Each type's bound at its own latency: type n at latencies[n]."""
+        return [self.prob(n, t) for n, t in enumerate(latencies)]
+
+    @classmethod
+    def at_loads(
+        cls,
+        servers: Sequence[int],
+        unit_rates: Sequence[float],
+        loads: Sequence[float],
+        zeta: float,
+    ) -> ViolationProfile:
+        """`ViolationModel.from_stages` for every load, in one pass over arrays.
+
+        Stage s has servers[s] servers of rate unit_rates[s], and every stage
+        carries the same load. The float operations and their order are those
+        of `chernoff_eta`, `StageTail.from_params` and `chernoff_g`, so each
+        stable type's eta and g equal the scalar model's bit for bit. Erlang-C
+        runs once per distinct nonzero load and stage.
+        """
+        if not 0.0 < zeta < 1.0:
+            raise DomainError(f"zeta must be in (0, 1), got {zeta}")
+        lam = np.asarray(loads, dtype=float)
+        if lam.ndim != 1:
+            raise DomainError(f"loads must be a vector, got shape {lam.shape}")
+        if (lam < 0.0).any():
+            raise DomainError(f"loads must be >= 0, got {lam.min()}")
+        c = np.array(servers, dtype=float)[:, None]
+        mu = np.array(unit_rates, dtype=float)[:, None]
+        capacity = c * mu
+        # Below every stage's capacity iff below the smallest one. Pinned types
+        # are evaluated at load 0, where every step is finite, and then reset.
+        stable = lam < capacity.min()
+        lam = np.where(stable, lam, 0.0)
+        eta = zeta * (mu - lam / c).min(axis=0)
+        r = capacity - lam
+        r = np.where(np.abs(r - mu) < _DEGENERATE_REL_TOL * mu,
+                     mu * (1.0 + _DEGENERATE_NUDGE), r)
+        p = _wait_probs(servers, unit_rates, lam)
+        stage_g = ((1.0 - p) + p * r / (r - eta)) * mu / (mu - eta)
+        g = stage_g[0]
+        for row in stage_g[1:]:
+            g = g * row
+        if not ((eta > 0.0).all() and (eta < mu).all() and (eta < r).all()):
+            raise DomainError(
+                "eta must stay positive and below every stage's unit_rate and "
+                "excess_capacity"
+            )
+        return cls(eta=np.where(stable, eta, 0.0), g=np.where(stable, g, 1.0))
+
+
+def _wait_probs(
+    servers: Sequence[int], unit_rates: Sequence[float], lam: np.ndarray
+) -> np.ndarray:
+    """Erlang-C per stage (rows) and load (columns), once per distinct load."""
+    by_load = {0.0: (0.0,) * len(servers)}
+    columns = []
+    for load in lam.tolist():
+        waits = by_load.get(load)
+        if waits is None:
+            waits = by_load[load] = tuple(
+                erlang_c(c, load, mu) for c, mu in zip(servers, unit_rates)
+            )
+        columns.append(waits)
+    return np.array(columns, dtype=float).T
 
 
 def sample_sojourn(params: StageParams, rng_seed: int, n: int) -> np.ndarray:

@@ -8,7 +8,6 @@ below.
 
 from __future__ import annotations
 
-import copy
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -389,7 +388,3 @@ def save_scenario(scenario: Scenario, path: str | Path) -> None:
     Path(path).write_text(
         json.dumps(scenario_to_obj(scenario), indent=2) + "\n", encoding="utf-8"
     )
-
-
-def copy_scenario_obj(scenario: Scenario) -> dict:
-    return copy.deepcopy(scenario_to_obj(scenario))

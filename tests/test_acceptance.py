@@ -105,10 +105,10 @@ def test_criterion_2_every_menu_is_ic_ir():
     worst_slack = np.inf
     worst_bind = 0.0
     for label, spec, menu, menu_pop, congestion in produced:
-        fns = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
-        full = check_ic_ir(menu, menu_pop, spec.quality, spec.refund, fns)
+        profile = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
+        full = check_ic_ir(menu, menu_pop, spec.quality, spec.refund, profile)
         worst_slack = min(worst_slack, full.ic_slack, full.ir_slack)
-        rep = check_feasibility(menu, menu_pop, spec.quality, spec.refund, fns)
+        rep = check_feasibility(menu, menu_pop, spec.quality, spec.refund, profile)
         worst_bind = max(worst_bind, abs(rep.ir_worst_slack))
         if menu_pop.n_types > 1:
             worst_bind = max(worst_bind, abs(rep.ic_down_slack))
@@ -130,9 +130,9 @@ def test_criterion_3_optimizer_matches_exhaustive_grid():
                                  counts=(10, 12, 8)[:n_types])
         masses = np.asarray(pop.counts, float) * 24.0
         congestion = np.cumsum(masses)
-        fns = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
+        profile = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
         menu = optimize_menu(pop, spec, scn.task, masses, congestion)
-        solved = menu_objective(menu.latencies, pop, spec, masses, fns)
+        solved = menu_objective(menu.latencies, pop, spec, masses, profile)
 
         best = -np.inf
         idx = [0] * n_types
@@ -141,7 +141,7 @@ def test_criterion_3_optimizer_matches_exhaustive_grid():
             nonlocal best
             if level == n_types:
                 lats = tuple(grid[i] for i in idx)
-                best = max(best, menu_objective(lats, pop, spec, masses, fns))
+                best = max(best, menu_objective(lats, pop, spec, masses, profile))
                 return
             for i in range(start, 40):
                 idx[level] = i

@@ -101,11 +101,11 @@ def test_all_menus_are_feasible_at_design_congestion(default_results):
     scn, results = default_results
     for result in results.values():
         for m, spec in enumerate(scn.operators):
-            fns = violation_profile(spec, scn.task,
-                                    result.design_congestion[m],
-                                    scn.solver.zeta)
+            profile = violation_profile(spec, scn.task,
+                                        result.design_congestion[m],
+                                        scn.solver.zeta)
             rep = check_feasibility(result.menus[m], scn.population,
-                                    spec.quality, spec.refund, fns)
+                                    spec.quality, spec.refund, profile)
             assert rep.passed, f"{result.name} operator {m + 1}: {rep}"
 
 
@@ -127,12 +127,12 @@ def test_mc_improves_on_ct_operator_by_operator(default_results):
     counts = np.asarray(scn.population.counts, float)
     for m, spec in enumerate(scn.operators):
         demand = counts * mc.assignment[:, m + 1] * delta
-        fns = violation_profile(spec, scn.task, mc.design_congestion[m],
-                                scn.solver.zeta)
+        profile = violation_profile(spec, scn.task, mc.design_congestion[m],
+                                    scn.solver.zeta)
         ct_val = menu_objective(ct.menus[m].latencies, scn.population, spec,
-                                demand, fns)
+                                demand, profile)
         mc_val = menu_objective(mc.menus[m].latencies, scn.population, spec,
-                                demand, fns)
+                                demand, profile)
         assert mc_val >= ct_val - 1e-9
 
 
@@ -173,10 +173,10 @@ def test_gsmc_has_no_blocking_pair(default_results):
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))
     for m, spec in enumerate(scn.operators):
-        fns = violation_profile(spec, scn.task, design0[m], scn.solver.zeta)
+        profile = violation_profile(spec, scn.task, design0[m], scn.solver.zeta)
         for n in range(pop.n_types):
             item = menus[m].items[n]
-            viol = fns[n](item.latency)
+            viol = profile.prob(n, item.latency)
             utilities[n, m] = user_utility(item, pop.betas[n], pop.alpha_worst,
                                            spec.quality, viol, spec.refund)
             margins[m, n] = pop.counts[n] * delta * (

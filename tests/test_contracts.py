@@ -11,8 +11,10 @@ from edgemarket import (
     ContractMenu,
     DomainError,
     OperatorSpec,
+    StageParams,
     TaskSpec,
     UserTypePopulation,
+    ViolationProfile,
     check_feasibility,
     check_ic_ir,
     menu_objective,
@@ -23,7 +25,13 @@ from edgemarket import (
     user_utility,
     violation_profile,
 )
-from edgemarket.contracts import StageResources, menu_from_obj, menu_to_obj
+from edgemarket.contracts import (
+    StageResources,
+    menu_from_obj,
+    menu_to_obj,
+    stage_params_for,
+)
+from edgemarket.queueing import ViolationModel, violation_prob
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
 SPEC = OperatorSpec(
@@ -45,6 +53,60 @@ def make_population(n=3, counts=(10, 12, 8)):
 def make_profile(pop):
     congestion = np.cumsum(np.asarray(pop.counts, float) * 24.0)
     return violation_profile(SPEC, TASK, congestion, 0.9), congestion
+
+
+def test_violation_profile_equals_scalar_model_bit_for_bit():
+    rng = np.random.default_rng(59)
+    for trial in range(60):
+        spec = OperatorSpec(
+            uplink=StageResources(int(rng.integers(1, 60)),
+                                  float(rng.uniform(1.0, 20.0))),
+            processing=StageResources(int(rng.integers(1, 40)),
+                                      float(rng.uniform(1e13, 6e13))),
+            downlink=StageResources(int(rng.integers(1, 200)),
+                                    float(rng.uniform(1.0, 10.0))),
+            quality=1.5, exec_cost_per_task=8e-6, violation_cost=1.2e-3, refund=1.2e-4,
+        )
+        stages = stage_params_for(spec, TASK, 0.0)
+        capacity = min(s.service_capacity for s in stages)
+        loads = np.sort(rng.uniform(0.0, 1.2 * capacity, 12))
+        loads[:2] = 0.0                  # types with no traffic yet
+        loads[5] = loads[4]              # a type adding no traffic repeats a load
+        loads[-1] = 1.5 * capacity       # pinned: some stage unstable
+        up = stages[0]
+        loads[-2] = (up.servers - 1) * up.unit_rate  # r == mu at the uplink
+        zeta = float(rng.uniform(0.1, 0.95))
+        profile = violation_profile(spec, TASK, loads, zeta)
+        assert len(profile) == len(loads)
+        for n, lam in enumerate(loads.tolist()):
+            at_load = stage_params_for(spec, TASK, lam)
+            if all(s.is_stable for s in at_load):
+                model = ViolationModel.from_stages(at_load, zeta)
+                assert profile.eta[n] == model.eta and profile.g[n] == model.g_product
+                for t in (1e-3, 0.05, 0.4, 3.0):
+                    assert profile.prob(n, t) == violation_prob(model, t)
+            else:
+                assert profile.eta[n] == 0.0 and profile.g[n] == 1.0
+                assert profile.prob(n, 0.05) == 1.0
+
+
+def test_violation_profile_rejects_bad_loads_and_lengths():
+    with pytest.raises(DomainError):
+        violation_profile(SPEC, TASK, [10.0, -1.0], 0.9)
+    pop = make_population(3)
+    profile, _ = make_profile(make_population(2, counts=(10, 12)))
+    with pytest.raises(DomainError):
+        recover_rewards([0.2, 0.3, 0.4], pop, SPEC.quality, SPEC.refund, profile)
+    with pytest.raises(DomainError):
+        menu_objective([0.2, 0.3, 0.4], pop, SPEC, [1.0, 1.0, 1.0], profile)
+    # One ulp below capacity, lam / c rounds up to mu, so eta would be 0: the
+    # scalar model and the profile both refuse the load.
+    c, mu = 286, 16.24996048184168
+    lam = math.nextafter(c * mu, 0.0)
+    with pytest.raises(DomainError):
+        ViolationModel.from_stages((StageParams(c, mu, lam),) * 3, 0.9)
+    with pytest.raises(DomainError):
+        ViolationProfile.at_loads((c,) * 3, (mu,) * 3, [lam], 0.9)
 
 
 def test_population_rejects_increasing_betas():
@@ -69,11 +131,11 @@ def test_user_utility_direct_arithmetic():
 
 def test_recovered_single_item_gives_worst_type_zero():
     pop = make_population(1, counts=(10,))
-    fns, _ = make_profile(pop)
-    prices = recover_rewards([0.4], pop, SPEC.quality, SPEC.refund, fns)
+    profile, _ = make_profile(pop)
+    prices = recover_rewards([0.4], pop, SPEC.quality, SPEC.refund, profile)
     item = ContractItem(0.4, prices[0])
     u = user_utility(item, pop.betas[0], pop.alpha_worst, SPEC.quality,
-                     fns[0](0.4), SPEC.refund)
+                     profile.prob(0, 0.4), SPEC.refund)
     assert abs(u) <= 1e-12
 
 
@@ -91,30 +153,31 @@ def test_operator_utility_examples():
 
 def test_recover_rewards_branches():
     pop = make_population(3)
-    fns, _ = make_profile(pop)
+    profile, _ = make_profile(pop)
     single = make_population(1, counts=(10,))
-    sfns, _ = make_profile(single)
-    r1 = recover_rewards([0.4], single, SPEC.quality, SPEC.refund, sfns)[0]
-    want = 1.0 * SPEC.quality - single.betas[0] * 0.4 + SPEC.refund * sfns[0](0.4)
+    sprofile, _ = make_profile(single)
+    r1 = recover_rewards([0.4], single, SPEC.quality, SPEC.refund, sprofile)[0]
+    want = (1.0 * SPEC.quality - single.betas[0] * 0.4
+            + SPEC.refund * sprofile.prob(0, 0.4))
     assert r1 == pytest.approx(want, rel=1e-15)
 
-    equal = recover_rewards([0.3, 0.3, 0.3], pop, SPEC.quality, SPEC.refund,
-                            lambda t: 0.05)
+    flat = ViolationProfile(eta=np.zeros(3), g=np.full(3, 0.05))
+    equal = recover_rewards([0.3, 0.3, 0.3], pop, SPEC.quality, SPEC.refund, flat)
     assert equal[0] == equal[1] == equal[2]
 
     with pytest.raises(DomainError):
-        recover_rewards([0.4, 0.3, 0.5], pop, SPEC.quality, SPEC.refund, fns)
+        recover_rewards([0.4, 0.3, 0.5], pop, SPEC.quality, SPEC.refund, profile)
 
 
 def test_recovery_binds_adjacent_constraints():
     pop = make_population(3)
-    fns, _ = make_profile(pop)
+    profile, _ = make_profile(pop)
     rng = np.random.default_rng(23)
     for _ in range(25):
         lats = np.sort(rng.uniform(0.05, 2.0, 3))
-        prices = recover_rewards(lats, pop, SPEC.quality, SPEC.refund, fns)
+        prices = recover_rewards(lats, pop, SPEC.quality, SPEC.refund, profile)
         menu = ContractMenu(tuple(ContractItem(l, p) for l, p in zip(lats, prices)))
-        rep = check_feasibility(menu, pop, SPEC.quality, SPEC.refund, fns)
+        rep = check_feasibility(menu, pop, SPEC.quality, SPEC.refund, profile)
         assert abs(rep.ir_worst_slack) <= 1e-12
         assert abs(rep.ic_down_slack) <= 1e-12
         assert rep.passed
@@ -122,39 +185,39 @@ def test_recovery_binds_adjacent_constraints():
 
 def test_check_feasibility_flags_constructed_violations():
     pop = make_population(2, counts=(10, 12))
-    fns, _ = make_profile(pop)
-    prices = recover_rewards([0.2, 0.6], pop, SPEC.quality, SPEC.refund, fns)
+    profile, _ = make_profile(pop)
+    prices = recover_rewards([0.2, 0.6], pop, SPEC.quality, SPEC.refund, profile)
     good = ContractMenu((ContractItem(0.2, prices[0]), ContractItem(0.6, prices[1])))
-    assert check_feasibility(good, pop, SPEC.quality, SPEC.refund, fns).passed
+    assert check_feasibility(good, pop, SPEC.quality, SPEC.refund, profile).passed
 
     swapped = ContractMenu((ContractItem(0.6, prices[0]), ContractItem(0.2, prices[1])))
-    rep = check_feasibility(swapped, pop, SPEC.quality, SPEC.refund, fns)
+    rep = check_feasibility(swapped, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.monotone_slack < 0 and not rep.passed
 
     greedy = ContractMenu((ContractItem(0.2, prices[0] + 1.0), good.items[1]))
-    rep = check_feasibility(greedy, pop, SPEC.quality, SPEC.refund, fns)
+    rep = check_feasibility(greedy, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.ir_worst_slack < 0 and not rep.passed
 
 
 def test_check_ic_ir_full_scan():
     pop = make_population(3)
-    fns, congestion = make_profile(pop)
+    profile, congestion = make_profile(pop)
     menu = optimize_menu(pop, SPEC, TASK, [240.0, 288.0, 192.0], congestion)
-    rep = check_ic_ir(menu, pop, SPEC.quality, SPEC.refund, fns)
+    rep = check_ic_ir(menu, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.passed and rep.ic_slack >= -1e-9 and rep.ir_slack >= -1e-9
 
     single = make_population(1, counts=(10,))
-    sfns, _ = make_profile(single)
-    prices = recover_rewards([0.4], single, SPEC.quality, SPEC.refund, sfns)
+    sprofile, _ = make_profile(single)
+    prices = recover_rewards([0.4], single, SPEC.quality, SPEC.refund, sprofile)
     rep1 = check_ic_ir(ContractMenu((ContractItem(0.4, prices[0]),)),
-                       single, SPEC.quality, SPEC.refund, sfns)
+                       single, SPEC.quality, SPEC.refund, sprofile)
     assert rep1.ic_slack == 0.0 and abs(rep1.ir_slack) <= 1e-12
 
     # Item 3 is strictly cheaper at nearly the same latency, so the worst
     # defection is type 1 grabbing it; the pair is 0-based (type, item).
     bad = ContractMenu((ContractItem(0.3, 1.2), ContractItem(0.3, 1.1),
                         ContractItem(0.35, 1.0)))
-    rep_bad = check_ic_ir(bad, pop, SPEC.quality, SPEC.refund, fns)
+    rep_bad = check_ic_ir(bad, pop, SPEC.quality, SPEC.refund, profile)
     assert rep_bad.ic_slack < 0
     assert rep_bad.ic_pair == (0, 2)
 
@@ -163,52 +226,54 @@ def test_separable_objective_matches_direct_evaluation():
     # The solver's per-latency decomposition must equal the posted-price
     # objective: sum d(R - Cp) == a1*q*sum(d) - sum[A_n L + d(C-R)p(L)].
     pop = make_population(3)
-    fns, _ = make_profile(pop)
+    profile, _ = make_profile(pop)
     masses = [240.0, 288.0, 192.0]
     rng = np.random.default_rng(31)
     betas = list(pop.betas) + [0.0]
     for _ in range(40):
         lats = np.sort(rng.uniform(0.02, 3.0, 3))
-        direct = menu_objective(lats, pop, SPEC, masses, fns)
+        direct = menu_objective(lats, pop, SPEC, masses, profile)
         tails = [sum(masses[j] for j in range(n, 3)) for n in range(3)] + [0.0]
         reorganized = pop.alpha_worst * SPEC.quality * sum(masses)
         for n in range(3):
             a_n = betas[n] * tails[n] - betas[n + 1] * tails[n + 1]
             reorganized -= a_n * lats[n]
-            reorganized -= masses[n] * (SPEC.violation_cost - SPEC.refund) * fns[n](lats[n])
+            reorganized -= (masses[n] * (SPEC.violation_cost - SPEC.refund)
+                            * profile.prob(n, lats[n]))
         assert direct == pytest.approx(reorganized, rel=1e-12)
 
 
-def grid_best_single(pop, masses, fn, points):
+def grid_best_single(pop, masses, profile, points):
     lats = np.linspace(1e-3, 10.0, points)
     best = -math.inf
     alpha_q = pop.alpha_worst * SPEC.quality
     for lat in lats:
-        price = alpha_q - pop.betas[0] * lat + SPEC.refund * fn(lat)
-        best = max(best, masses[0] * (price - SPEC.violation_cost * fn(lat)))
+        viol = profile.prob(0, lat)
+        price = alpha_q - pop.betas[0] * lat + SPEC.refund * viol
+        best = max(best, masses[0] * (price - SPEC.violation_cost * viol))
     return best
 
 
 def test_optimize_menu_single_type_matches_dense_grid():
     pop = make_population(1, counts=(10,))
-    fns, congestion = make_profile(pop)
+    profile, congestion = make_profile(pop)
     menu = optimize_menu(pop, SPEC, TASK, [240.0], congestion)
-    got = menu_objective(menu.latencies, pop, SPEC, [240.0], fns)
-    want = grid_best_single(pop, [240.0], fns[0], 200_001)
+    got = menu_objective(menu.latencies, pop, SPEC, [240.0], profile)
+    want = grid_best_single(pop, [240.0], profile, 200_001)
     assert got >= want - 1e-6 * abs(want)
 
 
 def test_optimize_menu_two_types_matches_exhaustive_grid():
     pop = make_population(2, counts=(10, 12))
-    fns, congestion = make_profile(pop)
+    profile, congestion = make_profile(pop)
     masses = [240.0, 288.0]
     menu = optimize_menu(pop, SPEC, TASK, masses, congestion)
-    got = menu_objective(menu.latencies, pop, SPEC, masses, fns)
+    got = menu_objective(menu.latencies, pop, SPEC, masses, profile)
     grid = np.linspace(1e-3, 10.0, 25)
     best = -math.inf
     for i, l1 in enumerate(grid):
         for l2 in grid[i:]:
-            best = max(best, menu_objective([l1, l2], pop, SPEC, masses, fns))
+            best = max(best, menu_objective([l1, l2], pop, SPEC, masses, profile))
     assert got >= best - 1e-3 * abs(best)
 
 
@@ -224,14 +289,14 @@ def test_identical_betas_flat_congestion_pool_to_one_latency():
 
 def test_optimizer_dominates_random_feasible_menus():
     pop = make_population(3)
-    fns, congestion = make_profile(pop)
+    profile, congestion = make_profile(pop)
     masses = [240.0, 288.0, 192.0]
     menu = optimize_menu(pop, SPEC, TASK, masses, congestion)
-    got = menu_objective(menu.latencies, pop, SPEC, masses, fns)
+    got = menu_objective(menu.latencies, pop, SPEC, masses, profile)
     rng = np.random.default_rng(47)
     for _ in range(1000):
         lats = np.sort(rng.uniform(1e-3, 10.0, 3))
-        assert got >= menu_objective(lats, pop, SPEC, masses, fns) - 1e-9
+        assert got >= menu_objective(lats, pop, SPEC, masses, profile) - 1e-9
 
 
 def test_ironing_output_is_monotone_under_stress():
@@ -246,18 +311,19 @@ def test_ironing_output_is_monotone_under_stress():
 
 def test_alpha_shift_never_changes_item_comparisons():
     pop = make_population(2, counts=(10, 12))
-    fns, _ = make_profile(pop)
-    prices = recover_rewards([0.2, 0.7], pop, SPEC.quality, SPEC.refund, fns)
+    profile, _ = make_profile(pop)
+    prices = recover_rewards([0.2, 0.7], pop, SPEC.quality, SPEC.refund, profile)
     items = tuple(ContractItem(l, p) for l, p in zip((0.2, 0.7), prices))
     beta = pop.betas[1]
+    v0, v1 = profile.prob(0, 0.2), profile.prob(1, 0.7)
     for alpha in (1.0, 3.7, 0.2):
         diff = (
-            user_utility(items[0], beta, alpha, SPEC.quality, fns[0](0.2), SPEC.refund)
-            - user_utility(items[1], beta, alpha, SPEC.quality, fns[1](0.7), SPEC.refund)
+            user_utility(items[0], beta, alpha, SPEC.quality, v0, SPEC.refund)
+            - user_utility(items[1], beta, alpha, SPEC.quality, v1, SPEC.refund)
         )
         base = (
-            user_utility(items[0], beta, 1.0, SPEC.quality, fns[0](0.2), SPEC.refund)
-            - user_utility(items[1], beta, 1.0, SPEC.quality, fns[1](0.7), SPEC.refund)
+            user_utility(items[0], beta, 1.0, SPEC.quality, v0, SPEC.refund)
+            - user_utility(items[1], beta, 1.0, SPEC.quality, v1, SPEC.refund)
         )
         assert diff == pytest.approx(base, abs=1e-12)
 
@@ -278,24 +344,27 @@ def make_market(pop, n_ops=1):
         optimize_menu(pop, s, TASK, np.asarray(pop.counts, float) * 24.0, congestion[m])
         for m, s in enumerate(specs)
     )
-    return specs, menus, congestion
+    profiles = [
+        violation_profile(s, TASK, congestion[m], 0.9) for m, s in enumerate(specs)
+    ]
+    return specs, menus, profiles
 
 
 def test_social_welfare_all_opt_out_is_zero():
     pop = make_population(2, counts=(10, 12))
-    specs, menus, congestion = make_market(pop)
+    specs, menus, profiles = make_market(pop)
     matching = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert social_welfare(menus, matching, pop, TASK, specs, congestion, 0.9) == 0.0
+    assert social_welfare(menus, matching, pop, TASK, specs, profiles) == 0.0
 
 
 def test_social_welfare_single_operator_definition():
     pop = make_population(2, counts=(10, 12))
-    specs, menus, congestion = make_market(pop)
+    specs, menus, profiles = make_market(pop)
     matching = np.array([[0.0, 1.0], [0.0, 1.0]])
-    got = social_welfare(menus, matching, pop, TASK, specs, congestion, 0.9)
-    fns = violation_profile(specs[0], TASK, congestion[0], 0.9)
+    got = social_welfare(menus, matching, pop, TASK, specs, profiles)
+    profile = profiles[0]
     loads = np.asarray(pop.counts, float) * 24.0
-    viols = [fns[n](menus[0].items[n].latency) for n in range(2)]
+    viols = [profile.prob(n, menus[0].items[n].latency) for n in range(2)]
     op = operator_utility(menus[0], loads, specs[0], viols)
     users = sum(
         loads[n] * user_utility(menus[0].items[n], pop.betas[n], pop.alpha_worst,
@@ -307,20 +376,25 @@ def test_social_welfare_single_operator_definition():
 
 def test_social_welfare_price_transfers_cancel():
     pop = make_population(2, counts=(10, 12))
-    specs, menus, congestion = make_market(pop)
+    specs, menus, profiles = make_market(pop)
     matching = np.array([[0.0, 1.0], [0.4, 0.6]])
-    base = social_welfare(menus, matching, pop, TASK, specs, congestion, 0.9)
+    base = social_welfare(menus, matching, pop, TASK, specs, profiles)
     bumped = tuple(
         ContractMenu(tuple(ContractItem(i.latency, i.price + 0.05) for i in m.items))
         for m in menus
     )
-    shifted = social_welfare(bumped, matching, pop, TASK, specs, congestion, 0.9)
+    shifted = social_welfare(bumped, matching, pop, TASK, specs, profiles)
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
 def test_social_welfare_dimension_mismatch():
     pop = make_population(2, counts=(10, 12))
-    specs, menus, congestion = make_market(pop)
+    specs, menus, profiles = make_market(pop)
+    matching = np.ones((2, 2)) / 2.0
+    short = [ViolationProfile(eta=profiles[0].eta[:1], g=profiles[0].g[:1])]
     with pytest.raises(DomainError):
-        social_welfare(menus, np.ones((2, 2)) / 2.0, pop, TASK, specs,
-                       congestion[:, :1], 0.9)
+        social_welfare(menus, matching, pop, TASK, specs, short)
+    with pytest.raises(DomainError):
+        social_welfare(menus, matching, pop, TASK, specs, [])
+    with pytest.raises(DomainError):
+        social_welfare(menus, np.ones((2, 3)) / 3.0, pop, TASK, specs, profiles)

@@ -49,6 +49,26 @@ def test_erlang_c_matches_direct_series():
         assert got == pytest.approx(want, rel=1e-12)
 
 
+def erlang_c_full_loop(c: int, lam: float, mu: float) -> float:
+    """The Erlang-B recurrence run to k = c with no early exit."""
+    offered = lam / mu
+    blocking = 1.0
+    for k in range(1, c + 1):
+        blocking = offered * blocking / (k + offered * blocking)
+    rho = offered / c
+    return blocking / (1.0 - rho * (1.0 - blocking))
+
+
+def test_erlang_c_early_exit_is_exact():
+    # Leaving the loop once blocking underflows to 0 must not move a bit.
+    servers = (1, 2, 3, 7, 20, 55, 150, 400, 1000, 2500, 6000, 12000, 20000)
+    for c in servers:
+        for rho in np.linspace(0.05, 0.98, 12):
+            for mu in (0.37, 20.0):
+                lam = float(rho) * c * mu
+                assert erlang_c(c, lam, mu) == erlang_c_full_loop(c, lam, mu)
+
+
 def test_erlang_c_near_stability_boundary():
     assert erlang_c(3, 3.0 * (1.0 - 1e-9), 1.0) > 1.0 - 1e-6
 
