@@ -8,23 +8,24 @@ is meant for type n; the design must keep every type picking its own item
 
 The solve follows the classical screening route: prices drop out through the
 binding constraints, leaving a latency-only objective that separates into one
-scalar problem per type. Ironing (pooling adjacent types at a shared latency)
-restores monotonicity, and prices are recovered afterwards.
+term a*L + w*min(1, g*exp(-eta*L)) per type. Each term is linear up to its
+kink ln(g)/eta and a decaying exponential after it, so its minimum has a
+closed form. Ironing (pooling adjacent types at a shared latency, by
+pool-adjacent-violators) restores monotonicity; a pooled block is convex
+between its members' kinks and is minimised exactly over its kinks, bounds
+and per-segment Newton roots. Prices are recovered afterwards.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from edgemarket.errors import DomainError
 from edgemarket.queueing import StageParams, ViolationProfile, stage_rate
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-
 
 # ---------------------------------------------------------------------------
 # data model
@@ -397,49 +398,101 @@ def check_ic_ir(
 # menu optimization
 
 
-def _minimize_scalar(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-8,
-    prescan: int = 64,
-) -> float:
-    """Bounded scalar minimization: coarse pre-scan, then golden section.
+def _term_value(term: tuple[float, float, float, float], x: float) -> float:
+    # a*x + w*min(1, g*exp(-eta*x)), the clamp read as ViolationProfile.prob.
+    a, w, eta, g = term
+    value = g * math.exp(-eta * x)
+    return a * x + w * (1.0 if value > 1.0 else value)
 
-    The pre-scan locates the global basin (the clamped violation curve makes
-    objectives flat-then-dipping, so pure golden section could lock onto the
-    wrong side); golden section then narrows the bracket to `tol`.
+
+def _term_argmin(
+    term: tuple[float, float, float, float], lo: float, hi: float
+) -> float:
+    """Exact minimiser of one term a*x + w*min(1, g*exp(-eta*x)) on [lo, hi].
+
+    With a >= 0 the term is nondecreasing on the clamped branch (x up to the
+    kink ln(g)/eta), so lo is the best point there. With w > 0 it is convex on
+    the decaying branch, whose best point is the stationary point
+    ln(w*eta*g/a)/eta clipped to [max(lo, kink), hi]. With w <= 0, or a curve
+    that never decays, the whole term is nondecreasing and lo is exact.
     """
-    if not hi > lo:
-        raise DomainError(f"latency bounds must satisfy lo < hi, got ({lo}, {hi})")
-    step = (hi - lo) / (prescan - 1)
-    xs = [lo + i * step for i in range(prescan)]
-    xs[-1] = hi
-    vals = [f(x) for x in xs]
-    best = min(range(prescan), key=vals.__getitem__)
-    a = xs[best - 1] if best > 0 else lo
-    b = xs[best + 1] if best < prescan - 1 else hi
-    c = b - _INV_PHI * (b - a)
-    d = a + _INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > tol:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_PHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_PHI * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x if f(x) <= vals[best] else xs[best]
+    a, w, eta, g = term
+    if not (w > 0.0 and eta > 0.0 and g > 0.0):
+        return lo
+    left = max(lo, math.log(g) / eta) if g > 1.0 else lo
+    if left >= hi:
+        return lo
+    rate = w * eta * g
+    if a == 0.0:
+        x = hi
+    elif rate > a:
+        x = min(max(math.log(rate / a) / eta, left), hi)
+    else:
+        x = left
+    return x if _term_value(term, x) < _term_value(term, lo) else lo
+
+
+def _block_argmin(
+    block: list[tuple[float, float, float, float]], lo: float, hi: float
+) -> float:
+    """Exact minimiser of a pooled block's summed terms on [lo, hi].
+
+    The members' kinks split [lo, hi] into segments on which every term is
+    either clamped (linear) or decaying. All w share one sign (w = d*margin
+    with d >= 0): with w <= 0 every term is nondecreasing and lo is exact;
+    with w > 0 each segment is convex, so its minimum is an edge or the root
+    of the slope A - sum w*eta*g*exp(-eta*x) over the decaying members. That
+    slope is increasing and concave, so Newton started left of the root
+    climbs to it without overshooting. The best candidate wins, the smallest
+    latency on ties.
+    """
+    if not any(w > 0.0 for _, w, _, _ in block):
+        return lo
+    slope0 = sum(a for a, _, _, _ in block)
+    # (kink, w*eta*g, eta) for every member that decays somewhere.
+    curves = sorted(
+        (math.log(g) / eta if g > 1.0 else -math.inf, w * eta * g, eta)
+        for _, w, eta, g in block
+        if w > 0.0 and eta > 0.0 and g > 0.0
+    )
+    edges = [lo] + [k for k, _, _ in curves if lo < k < hi] + [hi]
+    candidates = list(edges)
+    for left, right in zip(edges, edges[1:]):
+        active = [(rate, eta) for k, rate, eta in curves if k <= left]
+        if not active or slope0 - sum(
+            rate * math.exp(-eta * right) for rate, eta in active
+        ) <= 0.0:
+            continue
+        # Each member alone has its root at ln(rate/A)/eta, left of the sum's.
+        x = max([left] + [math.log(rate / slope0) / eta for rate, eta in active
+                          if rate > slope0])
+        while x < right:
+            slope, curvature = slope0, 0.0
+            for rate, eta in active:
+                decay = rate * math.exp(-eta * x)
+                slope -= decay
+                curvature += eta * decay
+            if slope >= 0.0 or not curvature > 0.0:
+                break
+            step = x - slope / curvature
+            if not step > x:
+                break
+            x = step
+        # An iterate at or past the right edge leaves that edge as the best.
+        if left < x < right:
+            candidates.append(x)
+    best, best_value = lo, math.inf
+    for x in sorted(candidates):
+        value = sum(_term_value(term, x) for term in block)
+        if value < best_value:
+            best, best_value = x, value
+    return best
 
 
 def _isotonic_minimize(
-    terms: list[Callable[[float], float]],
+    terms: list[tuple[float, float, float, float]],
     lo: float,
     hi: float,
-    tol: float = 1e-8,
 ) -> list[float]:
     """Minimize a separable sum subject to nondecreasing arguments.
 
@@ -450,14 +503,11 @@ def _isotonic_minimize(
     blocks: list[tuple[list[int], float]] = []
     for n, term in enumerate(terms):
         members = [n]
-        value = _minimize_scalar(term, lo, hi, tol)
+        value = _term_argmin(term, lo, hi)
         while blocks and value < blocks[-1][1]:
             prev_members, _ = blocks.pop()
             members = prev_members + members
-            pooled = [terms[i] for i in members]
-            value = _minimize_scalar(
-                lambda x: sum(f(x) for f in pooled), lo, hi, tol
-            )
+            value = _block_argmin([terms[i] for i in members], lo, hi)
         blocks.append((members, value))
     out = [0.0] * len(terms)
     for members, value in blocks:
@@ -489,13 +539,16 @@ def _latency_terms(
     spec: OperatorSpec,
     masses: list[float],
     profile: ViolationProfile,
-) -> list[Callable[[float], float]]:
-    """Per-type scalar objectives whose sum the negated menu profit reduces to.
+) -> list[tuple[float, float, float, float]]:
+    """Per-type (a_n, w_n, eta_n, g_n) of the terms the negated menu profit
+    reduces to.
 
     With prices substituted out through the binding constraints, maximizing
-    expected profit equals minimizing sum_n A_n L_n + d_n (cost - refund) p_n(L_n),
-    where A_n = beta_n D_n - beta_{n+1} D_{n+1} and D_n is the tail mass
-    sum_{j>=n} d_j.
+    expected profit equals minimizing sum_n a_n L_n + w_n min(1, g_n e^(-eta_n L_n)),
+    where a_n = beta_n D_n - beta_{n+1} D_{n+1} >= 0, D_n is the tail mass
+    sum_{j>=n} d_j and w_n = d_n (cost - refund). Each term is linear up to its
+    kink ln(g_n)/eta_n and a decaying exponential after it, so its minimum and
+    that of a pooled sum have closed forms or a one-dimensional Newton root.
     """
     n_types = population.n_types
     tail = [0.0] * (n_types + 1)
@@ -503,21 +556,10 @@ def _latency_terms(
         tail[n] = tail[n + 1] + masses[n]
     betas = list(population.betas) + [0.0]
     margin = spec.violation_cost - spec.refund
-    terms = []
-    for n, (eta, g) in enumerate(zip(profile.eta.tolist(), profile.g.tolist())):
-        linear = betas[n] * tail[n] - betas[n + 1] * tail[n + 1]
-        terms.append(_latency_term(linear, masses[n] * margin, eta, g))
-    return terms
-
-
-def _latency_term(a: float, w: float, eta: float, g: float) -> Callable[[float], float]:
-    # a*x + w*min(1, g*exp(-eta*x)) with ViolationProfile.prob inlined: the
-    # minimiser evaluates terms millions of times per solve.
-    def term(x: float) -> float:
-        value = g * math.exp(-eta * x)
-        return a * x + w * (1.0 if value > 1.0 else value)
-
-    return term
+    return [
+        (betas[n] * tail[n] - betas[n + 1] * tail[n + 1], masses[n] * margin, eta, g)
+        for n, (eta, g) in enumerate(zip(profile.eta.tolist(), profile.g.tolist()))
+    ]
 
 
 def menu_objective(

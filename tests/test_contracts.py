@@ -27,8 +27,13 @@ from edgemarket import (
 )
 from edgemarket.contracts import (
     StageResources,
+    _block_argmin,
+    _latency_terms,
+    _term_argmin,
+    _term_value,
     menu_from_obj,
     menu_to_obj,
+    optimize_menu_with_profile,
     stage_params_for,
 )
 from edgemarket.queueing import ViolationModel, violation_prob
@@ -307,6 +312,139 @@ def test_ironing_output_is_monotone_under_stress():
         menu = optimize_menu(pop, SPEC, TASK, masses, congestion)
         lats = menu.latencies
         assert all(a <= b for a, b in zip(lats, lats[1:]))
+
+
+LO, HI = 1e-3, 10.0
+
+
+def random_term(rng, sign):
+    """One (a, w, eta, g) term: pinned, always decaying (g <= 1), or with a
+    kink ln(g)/eta anywhere from inside [LO, HI] to beyond HI."""
+    w = sign * float(rng.uniform(0.1, 20.0))
+    kind = rng.random()
+    if kind < 0.15:
+        eta, g = 0.0, 1.0
+    elif kind < 0.45:
+        eta, g = float(rng.uniform(0.2, 30.0)), float(rng.uniform(0.0, 1.0))
+    else:
+        eta = float(rng.uniform(0.2, 30.0))
+        g = math.exp(eta * float(rng.uniform(0.0, 14.0)))
+    if rng.random() < 0.2:
+        a = 0.0
+    else:
+        # Scale a so that the stationary point lands anywhere in [0, 1.1*HI].
+        at = min(1.0, g * math.exp(-eta * float(rng.uniform(0.0, 1.1 * HI))))
+        a = (abs(w) or 1.0) * max(eta, 0.1) * at * float(rng.uniform(0.5, 2.0))
+    return a, w, eta, g
+
+
+def test_exact_block_minimum_beats_dense_grid_and_kinks():
+    rng = np.random.default_rng(2024)
+    grid = np.linspace(LO, HI, 20_001)
+    for _ in range(400):
+        sign = float(rng.choice([1.0, -1.0, 0.0]))
+        block = [random_term(rng, sign) for _ in range(int(rng.integers(1, 9)))]
+        kinks = [math.log(g) / eta for _, _, eta, g in block
+                 if eta > 0.0 and g > 1.0 and LO < math.log(g) / eta < HI]
+        xs = np.concatenate([grid, kinks])
+        total = np.zeros_like(xs)
+        for a, w, eta, g in block:
+            total += a * xs + w * np.minimum(1.0, g * np.exp(-eta * xs))
+        if len(block) == 1:
+            x = _term_argmin(block[0], LO, HI)
+        else:
+            x = _block_argmin(block, LO, HI)
+        assert LO <= x <= HI
+        got = sum(_term_value(term, x) for term in block)
+        scale = sum(a * HI + abs(w) for a, w, _, _ in block)
+        assert got <= total.min() + 1e-12 * scale
+        # A single term must agree with the pooled solve of itself.
+        if len(block) == 1:
+            pooled = _block_argmin(block, LO, HI)
+            assert _term_value(block[0], pooled) <= got + 1e-12 * scale
+
+
+def test_optimized_menus_are_monotone_with_pooled_members_identical():
+    rng = np.random.default_rng(77)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        betas = tuple(np.sort(rng.uniform(1e-5, 5e-4, n))[::-1].tolist())
+        counts = tuple(int(c) for c in rng.integers(0, 20, n))
+        if not any(counts):
+            counts = (1,) + counts[1:]
+        pop = UserTypePopulation(betas=betas, counts=counts)
+        refund = float(rng.choice([1.2e-4, 1.2e-3, 3e-3]))
+        spec = OperatorSpec(SPEC.uplink, SPEC.processing, SPEC.downlink,
+                            SPEC.quality, SPEC.exec_cost_per_task, 1.2e-3, refund)
+        eta = rng.uniform(0.5, 40.0, n)
+        g = np.exp(eta * rng.uniform(-0.5, 2.0, n))
+        pinned = rng.random(n) < 0.2
+        profile = ViolationProfile(eta=np.where(pinned, 0.0, eta),
+                                   g=np.where(pinned, 1.0, g))
+        masses = (np.asarray(counts, float) * rng.uniform(0.0, 30.0, n)).tolist()
+        lats = optimize_menu_with_profile(pop, spec, masses, profile).latencies
+        assert all(LO <= x <= HI for x in lats)
+        for prev, cur in zip(lats, lats[1:]):
+            assert prev <= cur
+            # Pooled members share one float; no separately solved neighbours
+            # land a rounding error apart.
+            if cur - prev <= 1e-9 * cur:
+                assert cur == prev
+        # Each run of equal latencies sits at the exact minimum of its terms.
+        terms = _latency_terms(pop, spec, masses, profile)
+        start = 0
+        for end in range(1, n + 1):
+            if end == n or lats[end] != lats[start]:
+                run = terms[start:end]
+                want = (_term_argmin(run[0], LO, HI) if len(run) == 1
+                        else _block_argmin(run, LO, HI))
+                assert lats[start] == want
+                start = end
+
+
+def test_interior_single_term_is_the_closed_form_stationary_point():
+    pop = UserTypePopulation(betas=(2e-4,), counts=(10,))
+    eta, g, mass = 4.0, 2.5, 240.0
+    profile = ViolationProfile(eta=[eta], g=[g])
+    menu = optimize_menu_with_profile(pop, SPEC, [mass], profile, (LO, HI))
+    a = pop.betas[0] * mass - 0.0 * 0.0
+    w = mass * (SPEC.violation_cost - SPEC.refund)
+    want = math.log(w * eta * g / a) / eta
+    assert math.log(g) / eta < want < HI
+    assert menu.latencies[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+
+
+def test_degenerate_terms_return_exactly_lo():
+    # Flat: no slope and no weight, or a curve clamped at 1 up to past HI.
+    for term in ((0.0, 0.0, 3.0, 2.0), (0.0, 0.0, 0.0, 1.0),
+                 (0.0, 3.0, 1.0, math.exp(20.0))):
+        assert _term_argmin(term, LO, HI) == LO
+        assert _block_argmin([term, term], LO, HI) == LO
+    for w in (5.0, 0.0, -5.0):  # pinned, a > 0
+        term = (0.7, w, 0.0, 1.0)
+        assert _term_argmin(term, LO, HI) == LO
+        assert _block_argmin([term, (0.1, w, 0.0, 1.0)], LO, HI) == LO
+
+
+def test_refund_above_violation_cost_lands_on_bound_or_kink():
+    for a, eta, g in ((0.0, 3.0, 2.0), (0.4, 3.0, 2.0), (0.0, 2.0, 0.5),
+                      (1e-3, 0.5, 1e9), (0.2, 0.0, 1.0)):
+        term = (a, -4.0, eta, g)
+        kink = math.log(g) / eta if eta > 0.0 and g > 1.0 else LO
+        assert _term_argmin(term, LO, HI) in (LO, kink, HI)
+        x = _block_argmin([term, (a, -1.0, 2.0 * eta, g)], LO, HI)
+        kinks = {LO, HI, kink}
+        if eta > 0.0 and g > 1.0:
+            kinks.add(math.log(g) / (2.0 * eta))
+        assert x in kinks
+
+
+def test_latency_bounds_must_be_ordered():
+    pop = make_population(2, counts=(10, 12))
+    profile, _ = make_profile(pop)
+    for bounds in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(DomainError):
+            optimize_menu_with_profile(pop, SPEC, [240.0, 288.0], profile, bounds)
 
 
 def test_alpha_shift_never_changes_item_comparisons():
