@@ -22,6 +22,7 @@ from edgemarket.contracts import (
     menu_from_obj,
     menu_to_obj,
     optimize_menu_with_profile,
+    stage_params_for,
     user_utility,
     violation_profile,
 )
@@ -33,6 +34,7 @@ from edgemarket.market import (
     project_matching,
     run_fixed_point,
 )
+from edgemarket.queueing import ViolationModel, violation_prob
 from edgemarket.scenario import Scenario
 
 METHODS = ("OURS", "CT", "MC", "GSMC")
@@ -115,9 +117,13 @@ def greedy_selection(
             if assigned[m] + traffic > caps[m] + 1e-9:
                 continue
             item = menus[m].items[n]
-            viol = violation_profile(
-                spec, task, [assigned[m] + traffic], cfg.zeta
-            ).prob(0, item.latency)
+            stages = stage_params_for(spec, task, float(assigned[m] + traffic))
+            if all(s.is_stable for s in stages):
+                viol = violation_prob(
+                    ViolationModel.from_stages(stages, cfg.zeta), item.latency
+                )
+            else:
+                viol = 1.0  # an overloaded stage pins the bound, as in a profile
             u = user_utility(item, pop.betas[n], pop.alpha_worst, spec.quality,
                              viol, spec.refund)
             if best_u is None or u > best_u + _TIE_TOL:

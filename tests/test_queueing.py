@@ -1,6 +1,7 @@
 """Queueing layer: Erlang-C, sojourn tails, the exponential violation bound,
 and the Monte Carlo sampler the bound is validated against."""
 
+import decimal
 import math
 
 import numpy as np
@@ -49,24 +50,60 @@ def test_erlang_c_matches_direct_series():
         assert got == pytest.approx(want, rel=1e-12)
 
 
-def erlang_c_full_loop(c: int, lam: float, mu: float) -> float:
-    """The Erlang-B recurrence run to k = c with no early exit."""
-    offered = lam / mu
-    blocking = 1.0
-    for k in range(1, c + 1):
-        blocking = offered * blocking / (k + offered * blocking)
-    rho = offered / c
-    return blocking / (1.0 - rho * (1.0 - blocking))
+def erlang_c_decimal(c: int, offered: float) -> decimal.Decimal:
+    """Oracle: the Erlang-B recurrence run to k = c in 50-digit arithmetic."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        a = decimal.Decimal(offered)
+        blocking = decimal.Decimal(1)
+        for k in range(1, c + 1):
+            t = a * blocking
+            blocking = t / (k + t)
+        rho = a / c
+        return blocking / (1 - rho * (1 - blocking))
 
 
-def test_erlang_c_early_exit_is_exact():
-    # Leaving the loop once blocking underflows to 0 must not move a bit.
+def test_erlang_c_matches_high_precision_oracle():
+    # The oracle runs on the offered load lam / mu as erlang_c forms it, so
+    # the comparison measures the algorithm, not the rounding of lam / mu.
     servers = (1, 2, 3, 7, 20, 55, 150, 400, 1000, 2500, 6000, 12000, 20000)
+    worst_abs = worst_rel = decimal.Decimal(0)
     for c in servers:
-        for rho in np.linspace(0.05, 0.98, 12):
+        for rho in np.linspace(0.05, 0.999, 14):
             for mu in (0.37, 20.0):
                 lam = float(rho) * c * mu
-                assert erlang_c(c, lam, mu) == erlang_c_full_loop(c, lam, mu)
+                want = erlang_c_decimal(c, lam / mu)
+                err = abs(decimal.Decimal(erlang_c(c, lam, mu)) - want)
+                worst_abs = max(worst_abs, err)
+                if want >= decimal.Decimal("1e-280"):
+                    worst_rel = max(worst_rel, err / want)
+    assert worst_abs <= decimal.Decimal("1e-15")
+    assert worst_rel <= decimal.Decimal("1e-12")
+
+
+def test_erlang_c_is_robust_across_accepted_regimes():
+    # Finite and in [0, 1], nondecreasing in the arrival rate, and exactly 0
+    # where the Poisson pmf at c underflows.
+    rhos = (1e-12, 1e-6, 1e-3, 0.05, 0.3, 0.5, 0.7, 0.9, 0.99, 1.0 - 1e-6,
+            1.0 - 1e-12)
+    zeros = 0
+    for c in (1, 2, 5, 15, 16, 100, 1000, 10_000, 100_000, 1_000_000):
+        for mu in (1e-3, 1.0, 250.0):
+            previous = 0.0
+            for rho in rhos:
+                lam = rho * c * mu
+                got = erlang_c(c, lam, mu)
+                assert math.isfinite(got) and 0.0 <= got <= 1.0
+                assert got >= previous
+                previous = got
+                a = lam / mu
+                log_pmf = c * math.log(a) - a - math.lgamma(c + 1.0)
+                if log_pmf < -750.0:
+                    assert got == 0.0
+                    zeros += 1
+                elif log_pmf > -700.0:
+                    assert got > 0.0
+    assert zeros > 0
 
 
 def test_erlang_c_near_stability_boundary():
