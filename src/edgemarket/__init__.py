@@ -28,6 +28,7 @@ from edgemarket.market import (
     MarketOutcome,
     MixedMatching,
     ShadowPrices,
+    capacities,
     effective_capacity,
     project_matching,
     run_fixed_point,
@@ -72,6 +73,7 @@ __all__ = [
     "UserTypePopulation",
     "ViolationModel",
     "ViolationProfile",
+    "capacities",
     "check_feasibility",
     "check_ic_ir",
     "chernoff_eta",

@@ -19,18 +19,19 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
+    item_utilities,
     menu_from_obj,
     menu_to_obj,
-    optimize_menu_with_profile,
     stage_params_for,
     user_utility,
-    violation_profile,
 )
 from edgemarket.errors import DomainError
 from edgemarket.market import (
     MarketOutcome,
-    effective_capacity,
+    capacities,
     evaluate_matching,
+    menus_for,
+    profiles_at,
     project_matching,
     run_fixed_point,
 )
@@ -71,22 +72,12 @@ def posted_menus(
     scenario: Scenario,
 ) -> tuple[tuple[ContractMenu, ...], np.ndarray]:
     """No-competition menus: each operator designs as if it served everyone."""
-    pop = scenario.population
-    task = scenario.task
-    cfg = scenario.solver
-    delta = task.arrival_rate_per_user
-    full_masses = np.asarray(pop.counts, dtype=float) * delta
-    full_congestion = np.cumsum(full_masses)
-    menus = tuple(
-        optimize_menu_with_profile(
-            pop, spec, full_masses,
-            violation_profile(spec, task, full_congestion, cfg.zeta),
-            cfg.latency_bounds,
-        )
-        for spec in scenario.operators
-    )
-    design = np.tile(full_congestion, (len(scenario.operators), 1))
-    return menus, design
+    full_masses = (np.asarray(scenario.population.counts, dtype=float)
+                   * scenario.task.arrival_rate_per_user)
+    per_operator = (scenario.n_operators, 1)
+    design = np.tile(np.cumsum(full_masses), per_operator)
+    masses = np.tile(full_masses, per_operator)
+    return menus_for(scenario, masses, profiles_at(scenario, design)), design
 
 
 def greedy_selection(
@@ -104,9 +95,7 @@ def greedy_selection(
     cfg = scenario.solver
     delta = task.arrival_rate_per_user
     n_ops = len(scenario.operators)
-    caps = np.array([
-        effective_capacity(spec, task, cfg.safety) for spec in scenario.operators
-    ])
+    caps = capacities(scenario)
     order = np.argsort(-np.asarray(pop.betas, dtype=float), kind="stable")
     assigned = np.zeros(n_ops)
     out = np.zeros((pop.n_types, n_ops + 1), dtype=int)
@@ -140,23 +129,11 @@ def redesign_at_assignment(
     scenario: Scenario, assignment: np.ndarray
 ) -> tuple[tuple[ContractMenu, ...], np.ndarray]:
     """Each operator re-solves once against the loads it was matched."""
-    pop = scenario.population
-    task = scenario.task
-    cfg = scenario.solver
-    delta = task.arrival_rate_per_user
+    counts = np.asarray(scenario.population.counts, dtype=float)
     a = np.asarray(assignment, dtype=float)
-    menus = []
-    design = np.zeros((len(scenario.operators), pop.n_types))
-    for m, spec in enumerate(scenario.operators):
-        demand = np.asarray(pop.counts, dtype=float) * a[:, m + 1] * delta
-        congestion = np.cumsum(demand)
-        design[m] = congestion
-        menus.append(optimize_menu_with_profile(
-            pop, spec, demand,
-            violation_profile(spec, task, congestion, cfg.zeta),
-            cfg.latency_bounds,
-        ))
-    return tuple(menus), design
+    demand = (counts[:, None] * a[:, 1:] * scenario.task.arrival_rate_per_user).T
+    design = np.cumsum(demand, axis=1)
+    return menus_for(scenario, demand, profiles_at(scenario, design)), design
 
 
 def _finish(
@@ -197,28 +174,23 @@ def run_mc(scenario: Scenario) -> BenchmarkResult:
 def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     """Deferred acceptance with user-count quotas, then one redesign."""
     pop = scenario.population
-    task = scenario.task
     cfg = scenario.solver
-    delta = task.arrival_rate_per_user
+    delta = scenario.task.arrival_rate_per_user
     n_ops = len(scenario.operators)
     menus, design0 = posted_menus(scenario)
 
     # Preferences from the posted menus at their design congestion.
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))
-    for m, spec in enumerate(scenario.operators):
-        viols = violation_profile(spec, task, design0[m], cfg.zeta).probs(
-            menus[m].latencies
-        )
-        for n in range(pop.n_types):
-            item = menus[m].items[n]
-            viol = viols[n]
-            utilities[n, m] = user_utility(
-                item, pop.betas[n], pop.alpha_worst, spec.quality, viol, spec.refund
-            )
-            margins[m, n] = pop.counts[n] * delta * (
-                item.price - spec.violation_cost * viol - spec.exec_cost_per_task
-            )
+    profiles = profiles_at(scenario, design0)
+    traffic = np.asarray(pop.counts, dtype=float) * delta
+    for m, (menu, spec, profile) in enumerate(
+        zip(menus, scenario.operators, profiles)
+    ):
+        utilities[:, m] = item_utilities(menu, pop, spec, profile)
+        viols = np.array(profile.probs(menu.latencies))
+        margins[m] = traffic * (np.array(menu.prices) - spec.violation_cost * viols
+                                - spec.exec_cost_per_task)
 
     # Quantize before ranking so summation noise cannot scramble ties.
     utilities = np.round(utilities / _TIE_TOL) * _TIE_TOL
@@ -235,10 +207,7 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
         ranked = sorted(range(pop.n_types), key=lambda n: (-margins[m, n], n))
         op_rank.append({n: i for i, n in enumerate(ranked)})
 
-    quotas = [
-        int(effective_capacity(spec, task, cfg.safety) // delta)
-        for spec in scenario.operators
-    ]
+    quotas = [int(cap // delta) for cap in capacities(scenario)]
     holds: list[set[int]] = [set() for _ in range(n_ops)]
     next_choice = [0] * pop.n_types
     free = list(range(pop.n_types))
@@ -274,12 +243,8 @@ def run_ours(scenario: Scenario) -> tuple[BenchmarkResult, MarketOutcome]:
     the untouched fixed-point menus.
     """
     outcome = run_fixed_point(scenario)
-    caps = np.array([
-        effective_capacity(spec, scenario.task, scenario.solver.safety)
-        for spec in scenario.operators
-    ])
     assignment = project_matching(
-        outcome.matching, caps, scenario.population,
+        outcome.matching, capacities(scenario), scenario.population,
         scenario.task.arrival_rate_per_user,
     )
     menus, design = redesign_at_assignment(scenario, assignment)

@@ -22,7 +22,7 @@ import numpy as np
 
 from edgemarket import benchmarks, experiments, market
 from edgemarket.contracts import check_ic_ir, menu_to_obj, optimize_menu_with_profile
-from edgemarket.contracts import menu_objective, violation_profile
+from edgemarket.contracts import UserTypePopulation, menu_objective, violation_profile
 from edgemarket.errors import DomainError, SetupError
 from edgemarket.queueing import StageParams, ViolationModel, sample_sojourn, violation_prob
 from edgemarket.scenario import Scenario, load_scenario
@@ -74,10 +74,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outcome = market.run_fixed_point(scenario)
-    caps = np.array([
-        market.effective_capacity(spec, scenario.task, scenario.solver.safety)
-        for spec in scenario.operators
-    ])
+    caps = market.capacities(scenario)
     assignment = market.project_matching(
         outcome.matching, caps, scenario.population,
         scenario.task.arrival_rate_per_user,
@@ -211,10 +208,9 @@ def _validate_bound_dominance(rng: np.random.Generator) -> tuple[bool, str]:
 def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
     menus, design = benchmarks.posted_menus(scenario)
     worst = np.inf
-    for m, spec in enumerate(scenario.operators):
-        profile = violation_profile(spec, scenario.task, design[m],
-                                    scenario.solver.zeta)
-        report = check_ic_ir(menus[m], scenario.population, spec.quality,
+    for menu, spec, profile in zip(menus, scenario.operators,
+                                   market.profiles_at(scenario, design)):
+        report = check_ic_ir(menu, scenario.population, spec.quality,
                              spec.refund, profile)
         worst = min(worst, report.ic_slack, report.ir_slack)
     return worst >= -1e-9, f"worst constraint slack {worst:.3e}"
@@ -224,12 +220,10 @@ def _validate_small_menu_oracle(scenario: Scenario) -> tuple[bool, str]:
     pop = scenario.population
     if pop.n_types < 3:
         return True, "skipped (fewer than 3 types)"
-    from edgemarket.contracts import UserTypePopulation
-
-    small = UserTypePopulation(
-        betas=pop.betas[:3], counts=pop.counts[:3] or (10, 10, 10),
-        alpha_worst=pop.alpha_worst,
-    )
+    # The three leading types may all be empty; then solve an even split.
+    counts = pop.counts[:3] if any(pop.counts[:3]) else (10, 10, 10)
+    small = UserTypePopulation(betas=pop.betas[:3], counts=counts,
+                               alpha_worst=pop.alpha_worst)
     spec = scenario.operators[0]
     delta = scenario.task.arrival_rate_per_user
     masses = [c * delta for c in small.counts]

@@ -232,6 +232,21 @@ def user_utility(
     return alpha_worst * quality - beta * item.latency - item.price + refund * violation
 
 
+def item_utilities(
+    menu: ContractMenu,
+    population: UserTypePopulation,
+    spec: OperatorSpec,
+    profile: ViolationProfile,
+) -> list[float]:
+    """Type n's utility from item n, at the violation bound of n's priority class."""
+    viols = profile.probs(menu.latencies)
+    return [
+        user_utility(item, beta, population.alpha_worst, spec.quality, viol,
+                     spec.refund)
+        for item, beta, viol in zip(menu.items, population.betas, viols)
+    ]
+
+
 def operator_utility(
     menu: ContractMenu,
     loads: Sequence[float],
@@ -661,14 +676,10 @@ def social_welfare(
     total = 0.0
     for m, (menu, spec, profile) in enumerate(zip(menus, specs, profiles)):
         _check_profile(profile, n_types)
-        viols = profile.probs(menu.latencies)
         loads = [population.counts[n] * z[n, m + 1] * delta for n in range(n_types)]
-        total += operator_utility(menu, loads, spec, viols)
-        for n in range(n_types):
-            u = user_utility(menu.items[n], population.betas[n],
-                             population.alpha_worst, spec.quality, viols[n],
-                             spec.refund)
-            total += loads[n] * u
+        total += operator_utility(menu, loads, spec, profile.probs(menu.latencies))
+        for load, u in zip(loads, item_utilities(menu, population, spec, profile)):
+            total += load * u
     for n in range(n_types):
         total += population.counts[n] * z[n, 0] * delta * opt_out_utility
     return total

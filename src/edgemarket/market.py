@@ -20,27 +20,25 @@ from edgemarket.contracts import (
     OperatorSpec,
     TaskSpec,
     UserTypePopulation,
+    item_utilities,
     menu_objective,
     operator_utility,
     optimize_menu_with_profile,
     social_welfare,
     stage_params_for,
-    user_utility,
     violation_profile,
 )
 from edgemarket.errors import DomainError, SetupError
 from edgemarket.queueing import ViolationProfile
-from edgemarket.scenario import Scenario, SolverConfig
+from edgemarket.scenario import Scenario
 
 
 # ---------------------------------------------------------------------------
 # market-state types
 
 
-def _frozen_array(values, shape: tuple[int, ...] | None = None) -> np.ndarray:
+def _frozen_array(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if shape is not None and arr.shape != shape:
-        raise DomainError(f"expected array of shape {shape}, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -168,6 +166,35 @@ def effective_capacity(spec: OperatorSpec, task: TaskSpec, safety: float) -> flo
     return safety * min(s.service_capacity for s in stages)
 
 
+def capacities(scenario: Scenario) -> np.ndarray:
+    """Every operator's effective capacity under the scenario's safety share."""
+    return np.array([
+        effective_capacity(spec, scenario.task, scenario.solver.safety)
+        for spec in scenario.operators
+    ])
+
+
+def profiles_at(scenario: Scenario, loads: np.ndarray) -> list[ViolationProfile]:
+    """Every operator's violation profile at its row of an M x N load matrix."""
+    return [
+        violation_profile(spec, scenario.task, loads[m], scenario.solver.zeta)
+        for m, spec in enumerate(scenario.operators)
+    ]
+
+
+def menus_for(
+    scenario: Scenario, masses: np.ndarray, profiles: list[ViolationProfile]
+) -> tuple[ContractMenu, ...]:
+    """Every operator's optimal menu for its row of M x N demand masses."""
+    return tuple(
+        optimize_menu_with_profile(
+            scenario.population, spec, masses[m], profiles[m],
+            scenario.solver.latency_bounds,
+        )
+        for m, spec in enumerate(scenario.operators)
+    )
+
+
 def cumulative_load(
     matching: MixedMatching, population: UserTypePopulation, delta: float
 ) -> CongestionVector:
@@ -181,15 +208,6 @@ def cumulative_load(
     counts = np.asarray(population.counts, dtype=float)
     per_type = counts[:, None] * matching.probs[:, 1:] * delta  # N x M
     return CongestionVector(np.cumsum(per_type, axis=0).T)
-
-
-def adjusted_utility(
-    utility: float, omega: float, type_traffic: float, capacity: float
-) -> float:
-    """Utility net of the operator's congestion price on this type's traffic."""
-    if not capacity > 0.0:
-        raise DomainError(f"capacity must be > 0, got {capacity}")
-    return utility - omega * type_traffic / capacity
 
 
 def mixed_response(
@@ -301,16 +319,11 @@ def _utility_matrix(
     profiles: list[ViolationProfile],
     scenario: Scenario,
 ) -> np.ndarray:
-    pop = scenario.population
-    out = np.empty((pop.n_types, len(menus)))
-    for m, (menu, spec) in enumerate(zip(menus, scenario.operators)):
-        viols = profiles[m].probs(menu.latencies)
-        for n in range(pop.n_types):
-            out[n, m] = user_utility(
-                menu.items[n], pop.betas[n], pop.alpha_worst, spec.quality,
-                viols[n], spec.refund,
-            )
-    return out
+    # N x M: type n's utility from its own item at each operator.
+    return np.array([
+        item_utilities(menu, scenario.population, spec, profile)
+        for menu, spec, profile in zip(menus, scenario.operators, profiles)
+    ]).T
 
 
 def _menu_residual(
@@ -323,38 +336,25 @@ def _menu_residual(
     )
 
 
-def run_fixed_point(
-    scenario: Scenario,
-    config: SolverConfig | None = None,
-    keep_history: bool = False,
-) -> MarketOutcome:
+def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOutcome:
     """Anneal the mixed matching against per-iteration menu redesigns.
 
     Non-convergence within max_iters is not an error: the iterate with the
     smallest matching residual is returned with converged=False.
     """
-    cfg = config if config is not None else scenario.solver
+    cfg = scenario.solver
     check_floor_feasible(scenario)
     pop = scenario.population
-    task = scenario.task
-    specs = scenario.operators
-    n_ops = len(specs)
+    n_ops = scenario.n_operators
     n_types = pop.n_types
-    delta = task.arrival_rate_per_user
+    delta = scenario.task.arrival_rate_per_user
     counts = np.asarray(pop.counts, dtype=float)
-    caps = np.array([effective_capacity(s, task, cfg.safety) for s in specs])
+    caps = capacities(scenario)
 
     # Initial menus: no-competition design against the demand floor alone.
-    floor_cong = _floor_congestion(scenario)
-    floor_masses = cfg.demand_floor * counts * delta
-    menus = tuple(
-        optimize_menu_with_profile(
-            pop, spec, floor_masses,
-            violation_profile(spec, task, floor_cong, cfg.zeta),
-            cfg.latency_bounds,
-        )
-        for spec in specs
-    )
+    floor_loads = np.tile(_floor_congestion(scenario), (n_ops, 1))
+    floor_masses = np.tile(cfg.demand_floor * counts * delta, (n_ops, 1))
+    menus = menus_for(scenario, floor_masses, profiles_at(scenario, floor_loads))
     matching = MixedMatching.uniform(n_types, n_ops)
     prices = ShadowPrices.zeros(n_ops)
 
@@ -362,7 +362,7 @@ def run_fixed_point(
     trace: list[IterationRecord] = []
     history: list[tuple[tuple[ContractMenu, ...], np.ndarray]] = []
     if keep_history:
-        history.append((menus, floor_cong[None, :].repeat(n_ops, axis=0)))
+        history.append((menus, floor_loads))
 
     converged = False
     iterations = 0
@@ -378,16 +378,8 @@ def run_fixed_point(
         masses = demand_mass(matching, pop, delta, cfg.demand_floor)
         counter.mass_entries += n_ops * n_types
 
-        profiles = [
-            violation_profile(spec, task, congestion.loads[m], cfg.zeta)
-            for m, spec in enumerate(specs)
-        ]
-        new_menus = tuple(
-            optimize_menu_with_profile(
-                pop, spec, masses[m], profiles[m], cfg.latency_bounds
-            )
-            for m, spec in enumerate(specs)
-        )
+        profiles = profiles_at(scenario, congestion.loads)
+        new_menus = menus_for(scenario, masses, profiles)
         menu_res = _menu_residual(menus, new_menus)
 
         utilities = _utility_matrix(new_menus, profiles, scenario)
@@ -407,7 +399,7 @@ def run_fixed_point(
 
         objectives = tuple(
             menu_objective(new_menus[m].latencies, pop, spec, masses[m], profiles[m])
-            for m, spec in enumerate(specs)
+            for m, spec in enumerate(scenario.operators)
         )
         trace.append(IterationRecord(
             iteration=k,
@@ -436,15 +428,8 @@ def run_fixed_point(
     # are each operator's best response to the returned matching.
     final_congestion = cumulative_load(matching, pop, delta)
     final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
-    final_profiles = [
-        violation_profile(spec, task, final_congestion.loads[m], cfg.zeta)
-        for m, spec in enumerate(specs)
-    ]
-    menus = tuple(
-        optimize_menu_with_profile(
-            pop, spec, final_masses[m], final_profiles[m], cfg.latency_bounds
-        )
-        for m, spec in enumerate(specs)
+    menus = menus_for(
+        scenario, final_masses, profiles_at(scenario, final_congestion.loads)
     )
     if keep_history:
         history.append((menus, np.array(final_congestion.loads)))
@@ -543,14 +528,9 @@ def verify_selection_equilibrium(
     """
     a = np.asarray(assignment, dtype=float)
     pop = scenario.population
-    task = scenario.task
-    cfg = scenario.solver
-    matching = MixedMatching(a)
-    congestion = cumulative_load(matching, pop, task.arrival_rate_per_user)
-    profiles = [
-        violation_profile(spec, task, congestion.loads[m], cfg.zeta)
-        for m, spec in enumerate(scenario.operators)
-    ]
+    delta = scenario.task.arrival_rate_per_user
+    congestion = cumulative_load(MixedMatching(a), pop, delta)
+    profiles = profiles_at(scenario, congestion.loads)
     utilities = _utility_matrix(tuple(menus), profiles, scenario)
 
     regrets = []
@@ -574,18 +554,15 @@ def verify_selection_equilibrium(
             regrets.append(max(rival_best - achieved, 0.0))
             blamed.append(rival)
 
-    delta = task.arrival_rate_per_user
+    demand = (np.asarray(pop.counts, dtype=float)[:, None] * a[:, 1:] * delta).T
+    resolved = menus_for(scenario, demand, profiles)
     gains, op_utils = [], []
-    for m, spec in enumerate(scenario.operators):
-        demand = np.asarray(pop.counts, dtype=float) * a[:, m + 1] * delta
-        current = menu_objective(menus[m].latencies, pop, spec, demand, profiles[m])
-        resolved = optimize_menu_with_profile(
-            pop, spec, demand, profiles[m], cfg.latency_bounds
-        )
-        improved = menu_objective(resolved.latencies, pop, spec, demand, profiles[m])
+    for m, (spec, profile) in enumerate(zip(scenario.operators, profiles)):
+        current = menu_objective(menus[m].latencies, pop, spec, demand[m], profile)
+        improved = menu_objective(resolved[m].latencies, pop, spec, demand[m], profile)
         gains.append(improved - current)
-        viols = profiles[m].probs(menus[m].latencies)
-        op_utils.append(operator_utility(menus[m], demand, spec, viols))
+        viols = profile.probs(menus[m].latencies)
+        op_utils.append(operator_utility(menus[m], demand[m], spec, viols))
 
     gain_ratios = [
         g / abs(u) if abs(u) > 0.0 else (0.0 if g <= 0.0 else math.inf)
@@ -626,25 +603,18 @@ def evaluate_matching(
     matrix (mixed or 0/1)."""
     pop = scenario.population
     task = scenario.task
-    cfg = scenario.solver
-    matching = MixedMatching(np.asarray(matching_probs, dtype=float))
-    congestion = cumulative_load(matching, pop, task.arrival_rate_per_user)
     delta = task.arrival_rate_per_user
-    profiles = [
-        violation_profile(spec, task, congestion.loads[m], cfg.zeta)
-        for m, spec in enumerate(scenario.operators)
+    matching = MixedMatching(np.asarray(matching_probs, dtype=float))
+    profiles = profiles_at(scenario, cumulative_load(matching, pop, delta).loads)
+    loads = np.asarray(pop.counts, dtype=float)[:, None] * matching.probs[:, 1:] * delta
+    per_op = [
+        operator_utility(menu, loads[:, m], spec, profile.probs(menu.latencies))
+        for m, (menu, spec, profile)
+        in enumerate(zip(menus, scenario.operators, profiles))
     ]
-    per_op = []
-    for m, spec in enumerate(scenario.operators):
-        viols = profiles[m].probs(menus[m].latencies)
-        loads = [
-            pop.counts[n] * matching.probs[n, m + 1] * delta
-            for n in range(pop.n_types)
-        ]
-        per_op.append(operator_utility(menus[m], loads, spec, viols))
     welfare = social_welfare(
         menus, matching.probs, pop, task, scenario.operators, profiles,
-        cfg.opt_out_utility,
+        scenario.solver.opt_out_utility,
     )
     return MatchingMetrics(
         total_operator_utility=float(sum(per_op)),

@@ -9,7 +9,7 @@ below.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
 
@@ -181,67 +181,74 @@ def default_scenario_obj() -> dict:
             }
             for servers in _DEFAULT_SERVERS
         ],
-        "solver": {
-            "damping": 0.35,
-            "price_step": 0.5,
-            "temp_start": 0.002,
-            "temp_end": 0.002,
-            "demand_floor": 0.05,
-            "safety": 0.95,
-            "zeta": 0.9,
-            "max_iters": 50,
-            "opt_out_utility": 0.0,
-            "matching_tol": 1e-4,
-            "menu_tol": 1e-6,
-            "latency_lo": 1e-3,
-            "latency_hi": 10.0,
-        },
+        "solver": asdict(SolverConfig()),
     }
 
 
-def _operator_from_obj(obj: dict) -> OperatorSpec:
-    def stage(d: dict) -> StageResources:
-        return StageResources(servers=int(d["servers"]),
-                              unit_throughput=float(d["unit_throughput"]))
+def _get(obj: dict, key: str, kind: type | None = None) -> Any:
+    """The value at dotted `key`, converted to `kind` (int or float) if given.
 
-    return OperatorSpec(
-        uplink=stage(obj["uplink"]),
-        processing=stage(obj["processing"]),
-        downlink=stage(obj["downlink"]),
-        quality=float(obj["quality"]),
-        exec_cost_per_task=float(obj["exec_cost_per_task"]),
-        violation_cost=float(obj["violation_cost"]),
-        refund=float(obj["refund"]),
-    )
+    A missing key, a value that does not convert, and a non-integral value for
+    an integer field raise DomainError naming the key.
+    """
+    value: Any = obj
+    for part in key.split("."):
+        try:
+            value = value[int(part) if isinstance(value, (list, tuple)) else part]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise DomainError(f"scenario key {key!r} is missing") from None
+    if kind is None:
+        return value
+    try:
+        out = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(
+            f"scenario key {key!r}: expected {kind.__name__}, got {value!r}"
+        ) from None
+    if kind is int and not isinstance(value, int) and out != float(value):
+        raise DomainError(f"scenario key {key!r}: expected an integer, got {value!r}")
+    return out
+
+
+def _list(obj: dict, key: str, kind: type | None, default) -> tuple:
+    """The list at dotted `key`, each entry read by `_get`; `default()` if null."""
+    values = _get(obj, key)
+    if values is None:
+        return default()
+    if not isinstance(values, (list, tuple)):
+        raise DomainError(f"scenario key {key!r}: expected a list, got {values!r}")
+    return tuple(_get(obj, f"{key}.{i}", kind) for i in range(len(values)))
+
+
+def _read(cls: type, obj: dict, key: str) -> Any:
+    """Dataclass `cls` from the object at dotted `key`, field by field."""
+    kinds = {"int": int, "float": float}
+    return cls(**{
+        f.name: (_read(StageResources, obj, f"{key}.{f.name}")
+                 if f.type == "StageResources"
+                 else _get(obj, f"{key}.{f.name}", kinds[f.type]))
+        for f in fields(cls)
+    })
 
 
 def scenario_from_obj(obj: dict) -> Scenario:
-    seed = int(obj["seed"])
-    alpha = float(obj["dirichlet_alpha"])
-    pop_obj = obj["population"]
-    betas = pop_obj.get("betas")
-    if betas is None:
-        betas = default_betas(int(pop_obj["n_types"]))
-    betas = tuple(float(b) for b in betas)
-    counts = pop_obj.get("counts")
-    if counts is None:
-        counts = dirichlet_composition(
-            alpha, len(betas), int(pop_obj["total_users"]), seed
-        )
-    counts = tuple(int(c) for c in counts)
-    task_obj = obj["task"]
+    seed = _get(obj, "seed", int)
+    alpha = _get(obj, "dirichlet_alpha", float)
+    betas = _list(obj, "population.betas", float,
+                  lambda: default_betas(_get(obj, "population.n_types", int)))
+    counts = _list(obj, "population.counts", int, lambda: dirichlet_composition(
+        alpha, len(betas), _get(obj, "population.total_users", int), seed
+    ))
+    operators = _list(obj, "operators", None, tuple)
     return Scenario(
-        task=TaskSpec(
-            input_size_mb=float(task_obj["input_size_mb"]),
-            workload_flops=float(task_obj["workload_flops"]),
-            output_size_mb=float(task_obj["output_size_mb"]),
-            arrival_rate_per_user=float(task_obj["arrival_rate_per_user"]),
-        ),
-        operators=tuple(_operator_from_obj(o) for o in obj["operators"]),
+        task=_read(TaskSpec, obj, "task"),
+        operators=tuple(_read(OperatorSpec, obj, f"operators.{m}")
+                        for m in range(len(operators))),
         population=UserTypePopulation(
-            betas=betas, counts=counts, alpha_worst=float(pop_obj["alpha_worst"])
+            betas=betas, counts=counts,
+            alpha_worst=_get(obj, "population.alpha_worst", float),
         ),
-        solver=SolverConfig(**obj["solver"]),
+        solver=_read(SolverConfig, obj, "solver"),
         seed=seed,
         dirichlet_alpha=alpha,
     )
@@ -249,53 +256,10 @@ def scenario_from_obj(obj: dict) -> Scenario:
 
 def scenario_to_obj(scenario: Scenario) -> dict:
     """Round-trippable form with counts pinned (no re-draw on load)."""
-    return {
-        "seed": scenario.seed,
-        "dirichlet_alpha": scenario.dirichlet_alpha,
-        "task": {
-            "input_size_mb": scenario.task.input_size_mb,
-            "workload_flops": scenario.task.workload_flops,
-            "output_size_mb": scenario.task.output_size_mb,
-            "arrival_rate_per_user": scenario.task.arrival_rate_per_user,
-        },
-        "population": {
-            "n_types": scenario.population.n_types,
-            "total_users": scenario.population.total_users,
-            "alpha_worst": scenario.population.alpha_worst,
-            "betas": list(scenario.population.betas),
-            "counts": list(scenario.population.counts),
-        },
-        "operators": [
-            {
-                "uplink": {"servers": op.uplink.servers,
-                           "unit_throughput": op.uplink.unit_throughput},
-                "processing": {"servers": op.processing.servers,
-                               "unit_throughput": op.processing.unit_throughput},
-                "downlink": {"servers": op.downlink.servers,
-                             "unit_throughput": op.downlink.unit_throughput},
-                "quality": op.quality,
-                "exec_cost_per_task": op.exec_cost_per_task,
-                "violation_cost": op.violation_cost,
-                "refund": op.refund,
-            }
-            for op in scenario.operators
-        ],
-        "solver": {
-            "damping": scenario.solver.damping,
-            "price_step": scenario.solver.price_step,
-            "temp_start": scenario.solver.temp_start,
-            "temp_end": scenario.solver.temp_end,
-            "demand_floor": scenario.solver.demand_floor,
-            "safety": scenario.solver.safety,
-            "zeta": scenario.solver.zeta,
-            "max_iters": scenario.solver.max_iters,
-            "opt_out_utility": scenario.solver.opt_out_utility,
-            "matching_tol": scenario.solver.matching_tol,
-            "menu_tol": scenario.solver.menu_tol,
-            "latency_lo": scenario.solver.latency_lo,
-            "latency_hi": scenario.solver.latency_hi,
-        },
-    }
+    obj = asdict(scenario)
+    obj["population"].update(n_types=scenario.n_types,
+                             total_users=scenario.population.total_users)
+    return obj
 
 
 def default_scenario(
@@ -313,13 +277,27 @@ def default_scenario(
     return scenario_from_obj(obj)
 
 
-def _deep_merge(base: dict, override: dict) -> dict:
+def _check_known(target: dict, part: str, dotted_key: str) -> None:
+    if part not in target:
+        raise DomainError(f"unknown scenario key {dotted_key!r} (at {part!r})")
+
+
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
     # Dicts merge recursively; everything else (including lists) replaces.
+    # Only keys the base has are accepted; each entry of a replacing operator
+    # list is merged into a fresh default operator just to check its keys.
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(base.get(key), dict):
-            _deep_merge(base[key], value)
-        else:
-            base[key] = value
+        dotted = prefix + key
+        _check_known(base, key, dotted)
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            _deep_merge(base[key], value, dotted + ".")
+            continue
+        if dotted == "operators" and isinstance(value, list):
+            for m, entry in enumerate(value):
+                if isinstance(entry, dict):
+                    _deep_merge(default_scenario_obj()["operators"][0], entry,
+                                f"operators.{m}.")
+        base[key] = value
     return base
 
 
@@ -349,8 +327,7 @@ def apply_override(obj: dict, dotted_key: str, raw_value: str) -> None:
             else:
                 target = target[index]
         elif isinstance(target, dict):
-            if part not in target:
-                raise DomainError(f"unknown scenario key {dotted_key!r} (at {part!r})")
+            _check_known(target, part, dotted_key)
             if last:
                 target[part] = value
             else:

@@ -129,14 +129,47 @@ def test_sweep_rejects_malformed_axis(tmp_path, capsys):
 
 
 def test_validate_prints_one_line_per_check(capsys):
-    code = main(["validate", *SMALL])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert len(out) == 4
-    assert all(line.startswith("PASS ") for line in out)
-    names = [line.split()[1].rstrip(":") for line in out]
-    assert names == ["floor-stability", "bound-dominance", "menu-ic-ir",
-                     "small-menu-oracle"]
+    # The second composition leaves the small-menu oracle's three types empty.
+    for args in (SMALL, ("--set", "population.counts=[0,0,0,5,5,5,5,5]")):
+        code = main(["validate", *args])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0
+        assert len(out) == 4
+        assert all(line.startswith("PASS ") for line in out)
+        names = [line.split()[1].rstrip(":") for line in out]
+        assert names == ["floor-stability", "bound-dominance", "menu-ic-ir",
+                         "small-menu-oracle"]
+
+
+# (scenario file contents or None, --set override or None, key the error names)
+MALFORMED = [
+    ({"task": {"bogus": 1}}, None, "task.bogus"),
+    ({"bogus": 1}, None, "bogus"),
+    ({"solver": {"bogus": 1}}, None, "solver.bogus"),
+    ({"operators": [{"quality": 2.0}]}, None, "operators.0.uplink"),
+    ({"operators": [{"quality": 2.0, "bogus": 1}]}, None, "operators.0.bogus"),
+    (None, "solver.max_iters=abc", "solver.max_iters"),
+    (None, "seed=x", "seed"),
+    (None, "operators.0.uplink.servers=2.7", "operators.0.uplink.servers"),
+]
+
+
+@pytest.mark.parametrize("file_obj, override, key", MALFORMED,
+                         ids=[f"{key}-{'file' if obj else 'set'}"
+                              for obj, _, key in MALFORMED])
+def test_validate_rejects_malformed_scenarios(tmp_path, capsys, file_obj,
+                                              override, key):
+    args = ["validate"]
+    if file_obj is not None:
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(file_obj), encoding="utf-8")
+        args += ["--scenario", str(path)]
+    if override is not None:
+        args += ["--set", override]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"'{key}" in err
 
 
 def test_validate_fails_on_unstable_floor(capsys):

@@ -25,7 +25,6 @@ from edgemarket import (
 )
 from edgemarket.market import (
     CongestionVector,
-    adjusted_utility,
     anneal,
     cumulative_load,
     damp,
@@ -103,17 +102,6 @@ def test_cumulative_load_edge_cases():
     loads = cumulative_load(full, pop, 24.0).loads
     assert loads[0, -1] == pytest.approx(30 * 24.0, rel=1e-12)
     assert loads[1, -1] == 0.0
-
-
-def test_adjusted_utility_steps():
-    assert adjusted_utility(0.7, 0.0, 100.0, 50.0) == 0.7
-    assert adjusted_utility(0.7, 1.0, 50.0, 50.0) == pytest.approx(-0.3)
-    base = adjusted_utility(0.7, 0.5, 30.0, 60.0)
-    assert adjusted_utility(0.7, 1.0, 30.0, 60.0) == pytest.approx(
-        0.7 - 2 * (0.7 - base)
-    )
-    with pytest.raises(DomainError):
-        adjusted_utility(0.7, 0.5, 30.0, 0.0)
 
 
 def test_mixed_response_uniform_and_argmax():

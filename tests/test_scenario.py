@@ -110,6 +110,19 @@ def test_scenario_file_round_trip(tmp_path):
     save_scenario(scn, path)
     again = load_scenario(path)
     assert scenario_to_obj(again) == scenario_to_obj(scn)
+    assert again == scn
+    # Every section off its default: a field the file form dropped would
+    # come back as its default and break the equality.
+    moved = load_scenario(None, (
+        "seed=7", "dirichlet_alpha=3.5", "task.input_size_mb=0.2",
+        "task.arrival_rate_per_user=20", "population.alpha_worst=0.8",
+        "population.betas=[9e-4, 5e-4, 2e-4]", "population.counts=[4, 0, 11]",
+        "operators.1.processing.servers=17", "operators.2.refund=2e-4",
+        "solver.max_iters=33", "solver.zeta=0.85", "solver.latency_hi=8",
+    ))
+    moved_path = tmp_path / "moved.json"
+    save_scenario(moved, moved_path)
+    assert load_scenario(moved_path) == moved
     # counts are pinned in the file, so the seed no longer matters for them
     bumped = load_scenario(path, seed=9)
     assert bumped.population.counts == scn.population.counts
