@@ -15,6 +15,7 @@ from edgemarket.contracts import (
     UserTypePopulation,
     check_feasibility,
     check_ic_ir,
+    menu_grid_gap,
     menu_objective,
     operator_utility,
     optimize_menu,
@@ -38,6 +39,7 @@ from edgemarket.queueing import (
     StageParams,
     ViolationModel,
     ViolationProfile,
+    bound_dominance_margin,
     chernoff_eta,
     chernoff_g,
     erlang_c,
@@ -73,6 +75,7 @@ __all__ = [
     "UserTypePopulation",
     "ViolationModel",
     "ViolationProfile",
+    "bound_dominance_margin",
     "capacities",
     "check_feasibility",
     "check_ic_ir",
@@ -83,6 +86,7 @@ __all__ = [
     "effective_capacity",
     "erlang_c",
     "load_scenario",
+    "menu_grid_gap",
     "menu_objective",
     "operator_utility",
     "optimize_menu",

@@ -16,15 +16,15 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from edgemarket import benchmarks, experiments, market
-from edgemarket.contracts import check_ic_ir, menu_to_obj, optimize_menu_with_profile
-from edgemarket.contracts import UserTypePopulation, menu_objective, violation_profile
+from edgemarket.contracts import check_ic_ir, menu_grid_gap, menu_to_obj
 from edgemarket.errors import DomainError, SetupError
-from edgemarket.queueing import StageParams, ViolationModel, sample_sojourn, violation_prob
+from edgemarket.queueing import bound_dominance_margin
 from edgemarket.scenario import Scenario, load_scenario
 
 _TRACE_CSV_VERSION = "# edgemarket trace v1"
@@ -161,7 +161,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axis, sep, raw_values = args.sweep.partition("=")
     if not sep or not raw_values:
         raise DomainError("--sweep must look like AXIS=v1,v2,...")
-    values = tuple(float(v) for v in raw_values.split(","))
+    try:
+        values = tuple(float(v) for v in raw_values.split(","))
+    except ValueError as exc:
+        raise DomainError(f"--sweep values must be numbers ({exc})") from None
     spec = experiments.SweepSpec(
         axis=axis.strip(), values=values, replicates=args.replicates
     )
@@ -173,36 +176,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         experiments.aggregate_rows(rows), out / f"sweep_{spec.axis}_mean.csv"
     )
     return 0
-
-
-def _validate_bound_dominance(rng: np.random.Generator) -> tuple[bool, str]:
-    worst = np.inf
-    n_samples = 200_000
-    for _ in range(20):
-        stages = tuple(
-            StageParams(
-                servers=int(rng.integers(1, 9)),
-                unit_rate=float(rng.uniform(0.5, 50.0)),
-                arrival_rate=0.0,
-            )
-            for _ in range(3)
-        )
-        stages = tuple(
-            StageParams(s.servers, s.unit_rate,
-                        float(rng.uniform(0.1, 0.95)) * s.servers * s.unit_rate)
-            for s in stages
-        )
-        zeta = float(rng.uniform(0.5, 0.95))
-        model = ViolationModel.from_stages(stages, zeta)
-        total = sum(
-            sample_sojourn(s, int(rng.integers(0, 2**31)), n_samples)
-            for s in stages
-        )
-        for t in np.linspace(0.0, 4.0 * model.mean_total(), 20):
-            emp = float(np.mean(total > t))
-            sigma = (emp * (1.0 - emp) / n_samples) ** 0.5
-            worst = min(worst, violation_prob(model, float(t)) - (emp - 3.0 * sigma))
-    return worst >= 0.0, f"worst margin {worst:.3e}"
 
 
 def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
@@ -218,28 +191,13 @@ def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
 
 def _validate_small_menu_oracle(scenario: Scenario) -> tuple[bool, str]:
     pop = scenario.population
-    if pop.n_types < 3:
-        return True, "skipped (fewer than 3 types)"
-    # The three leading types may all be empty; then solve an even split.
-    counts = pop.counts[:3] if any(pop.counts[:3]) else (10, 10, 10)
-    small = UserTypePopulation(betas=pop.betas[:3], counts=counts,
-                               alpha_worst=pop.alpha_worst)
-    spec = scenario.operators[0]
-    delta = scenario.task.arrival_rate_per_user
-    masses = [c * delta for c in small.counts]
-    congestion = np.cumsum(masses)
-    profile = violation_profile(spec, scenario.task, congestion, scenario.solver.zeta)
-    bounds = scenario.solver.latency_bounds
-    menu = optimize_menu_with_profile(small, spec, masses, profile, bounds)
-    solved = menu_objective(menu.latencies, small, spec, masses, profile)
-    grid = np.linspace(bounds[0], bounds[1], 40)
-    best = -np.inf
-    for i in range(40):
-        for j in range(i, 40):
-            for k in range(j, 40):
-                lats = (grid[i], grid[j], grid[k])
-                best = max(best, menu_objective(lats, small, spec, masses, profile))
-    gap = (best - solved) / max(abs(best), 1e-12)
+    k = min(3, pop.n_types)
+    # The leading types may all be empty; then solve an even split.
+    counts = pop.counts[:k] if any(pop.counts[:k]) else (10,) * k
+    gap = menu_grid_gap(
+        replace(pop, betas=pop.betas[:k], counts=counts), scenario.operators[0],
+        scenario.task, scenario.solver.zeta, scenario.solver.latency_bounds,
+    )
     return gap <= 1e-3, f"objective gap {gap:.3e} vs 40-point grid"
 
 
@@ -253,9 +211,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         checks.append(("floor-stability", False, str(exc)))
         _print_checks(checks)
         return 1
-    checks.append(("bound-dominance",) + _validate_bound_dominance(
-        np.random.default_rng(scenario.seed)
-    ))
+    margin = bound_dominance_margin(np.random.default_rng(scenario.seed), 20, 200_000)
+    checks.append(("bound-dominance", margin >= 0.0, f"worst margin {margin:.3e}"))
     checks.append(("menu-ic-ir",) + _validate_menu_ic_ir(scenario))
     checks.append(("small-menu-oracle",) + _validate_small_menu_oracle(scenario))
     _print_checks(checks)

@@ -18,6 +18,7 @@ and per-segment Newton roots. Prices are recovered afterwards.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -640,6 +641,33 @@ def optimize_menu_with_profile(
     return ContractMenu(
         tuple(ContractItem(lat, price) for lat, price in zip(lats, prices))
     )
+
+
+def menu_grid_gap(
+    population: UserTypePopulation,
+    spec: OperatorSpec,
+    task: TaskSpec,
+    zeta: float,
+    latency_bounds: tuple[float, float],
+) -> float:
+    """(grid best - solved) / max(|grid best|, 1e-12) for one operator's menu.
+
+    Masses are counts times the per-user arrival rate, and the profile is built
+    at their cumulative sums. Grid best is the largest `menu_objective` over
+    every nondecreasing schedule on 40 evenly spaced latencies in
+    latency_bounds, so an optimal solve gives a gap of at most 0 up to
+    rounding. The scan costs C(39 + N, N) objective calls: meant for N <= 3.
+    """
+    masses = np.asarray(population.counts, float) * task.arrival_rate_per_user
+    profile = violation_profile(spec, task, np.cumsum(masses), zeta)
+    menu = optimize_menu_with_profile(population, spec, masses, profile, latency_bounds)
+    solved = menu_objective(menu.latencies, population, spec, masses, profile)
+    grid = np.linspace(latency_bounds[0], latency_bounds[1], 40)
+    best = max(
+        menu_objective(lats, population, spec, masses, profile)
+        for lats in itertools.combinations_with_replacement(grid, population.n_types)
+    )
+    return (best - solved) / max(abs(best), 1e-12)
 
 
 # ---------------------------------------------------------------------------

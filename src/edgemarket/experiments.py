@@ -91,6 +91,12 @@ class SweepSpec:
             )
         if not self.values:
             raise DomainError("sweep values must be non-empty")
+        if self.axis in ("total_users", "num_types"):
+            for value in self.values:
+                if not float(value).is_integer():
+                    raise DomainError(
+                        f"{self.axis} values must be integers, got {value!r}"
+                    )
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
 

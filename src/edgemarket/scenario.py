@@ -149,13 +149,15 @@ _DEFAULT_SERVERS = ((48, 24, 194), (43, 16, 172), (28, 12, 115))
 _UPLINK_MBPS = 9.0
 _PROCESSING_FLOPS = 3.6e13
 _DOWNLINK_MBPS = 5.4
+_N_TYPES = 8
+_TOTAL_USERS = 150
 
 
 def default_scenario_obj() -> dict:
     """Fully expanded default configuration (the documented file schema)."""
     return {
-        "seed": 0,
-        "dirichlet_alpha": 10.0,
+        "seed": Scenario.seed,
+        "dirichlet_alpha": Scenario.dirichlet_alpha,
         "task": {
             "input_size_mb": 0.18,
             "workload_flops": 3.6e11,
@@ -163,9 +165,9 @@ def default_scenario_obj() -> dict:
             "arrival_rate_per_user": 24.0,
         },
         "population": {
-            "n_types": 8,
-            "total_users": 150,
-            "alpha_worst": 1.0,
+            "n_types": _N_TYPES,
+            "total_users": _TOTAL_USERS,
+            "alpha_worst": UserTypePopulation.alpha_worst,
             "betas": None,   # default: (n_types - i) * 1e-4
             "counts": None,  # default: Dirichlet(dirichlet_alpha) draw at `seed`
         },
@@ -263,10 +265,10 @@ def scenario_to_obj(scenario: Scenario) -> dict:
 
 
 def default_scenario(
-    seed: int = 0,
-    total_users: int = 150,
-    n_types: int = 8,
-    dirichlet_alpha: float = 10.0,
+    seed: int = Scenario.seed,
+    total_users: int = _TOTAL_USERS,
+    n_types: int = _N_TYPES,
+    dirichlet_alpha: float = Scenario.dirichlet_alpha,
 ) -> Scenario:
     """The reference three-operator, eight-type market."""
     obj = default_scenario_obj()

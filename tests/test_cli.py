@@ -126,11 +126,19 @@ def test_sweep_rejects_malformed_axis(tmp_path, capsys):
     code = main(["sweep", "--out", str(tmp_path / "x"), "--sweep", "zeta"])
     assert code == 1
     assert "AXIS=" in capsys.readouterr().err
+    # Not a number, or not an integer on an integer axis.
+    for sweep in ("zeta=abc", "total_users=inf", "num_types=nan",
+                  "num_types=2.5", "total_users=150.7"):
+        code = main(["sweep", "--out", str(tmp_path / "x"), "--sweep", sweep])
+        assert code == 1, sweep
+        assert capsys.readouterr().err.startswith("error:"), sweep
 
 
 def test_validate_prints_one_line_per_check(capsys):
-    # The second composition leaves the small-menu oracle's three types empty.
-    for args in (SMALL, ("--set", "population.counts=[0,0,0,5,5,5,5,5]")):
+    # The second composition leaves the small-menu oracle's three types empty;
+    # the third gives it fewer than three types.
+    for args in (SMALL, ("--set", "population.counts=[0,0,0,5,5,5,5,5]"),
+                 ("--set", "population.n_types=2")):
         code = main(["validate", *args])
         out = capsys.readouterr().out.splitlines()
         assert code == 0
@@ -139,6 +147,8 @@ def test_validate_prints_one_line_per_check(capsys):
         names = [line.split()[1].rstrip(":") for line in out]
         assert names == ["floor-stability", "bound-dominance", "menu-ic-ir",
                          "small-menu-oracle"]
+        assert float(out[1].split("worst margin ")[1]) > 0.0
+        assert out[3].split(": ", 1)[1].startswith("objective gap ")
 
 
 # (scenario file contents or None, --set override or None, key the error names)

@@ -17,6 +17,7 @@ from edgemarket import (
     ViolationProfile,
     check_feasibility,
     check_ic_ir,
+    menu_grid_gap,
     menu_objective,
     operator_utility,
     optimize_menu,
@@ -270,16 +271,8 @@ def test_optimize_menu_single_type_matches_dense_grid():
 
 def test_optimize_menu_two_types_matches_exhaustive_grid():
     pop = make_population(2, counts=(10, 12))
-    profile, congestion = make_profile(pop)
-    masses = [240.0, 288.0]
-    menu = optimize_menu(pop, SPEC, TASK, masses, congestion)
-    got = menu_objective(menu.latencies, pop, SPEC, masses, profile)
-    grid = np.linspace(1e-3, 10.0, 25)
-    best = -math.inf
-    for i, l1 in enumerate(grid):
-        for l2 in grid[i:]:
-            best = max(best, menu_objective([l1, l2], pop, SPEC, masses, profile))
-    assert got >= best - 1e-3 * abs(best)
+    # The grid's schedules are feasible for the exact solve, so it never wins.
+    assert -1e-3 <= menu_grid_gap(pop, SPEC, TASK, 0.9, (1e-3, 10.0)) <= 1e-12
 
 
 def test_identical_betas_flat_congestion_pool_to_one_latency():

@@ -40,6 +40,10 @@ from edgemarket.benchmarks import run_method
 
 def test_default_scenario_shape_and_frozen_values():
     scn = default_scenario()
+    assert scn == load_scenario(None)
+    assert scn.seed == 0
+    assert scn.dirichlet_alpha == 10.0
+    assert scn.population.alpha_worst == 1.0
     assert len(scn.operators) == 3
     assert scn.population.n_types == 8
     assert scn.population.total_users == 150
