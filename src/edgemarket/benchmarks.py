@@ -35,7 +35,7 @@ from edgemarket.market import (
     project_matching,
     run_fixed_point,
 )
-from edgemarket.queueing import ViolationModel, violation_prob
+from edgemarket.queueing import ViolationModel, ViolationProfile, violation_prob
 from edgemarket.scenario import Scenario
 
 METHODS = ("OURS", "CT", "MC", "GSMC")
@@ -70,14 +70,19 @@ class BenchmarkResult:
 
 def posted_menus(
     scenario: Scenario,
-) -> tuple[tuple[ContractMenu, ...], np.ndarray]:
-    """No-competition menus: each operator designs as if it served everyone."""
+) -> tuple[tuple[ContractMenu, ...], np.ndarray, list[ViolationProfile]]:
+    """No-competition menus: each operator designs as if it served everyone.
+
+    Returns the menus, the M x N design loads and each operator's violation
+    profile at those loads.
+    """
     full_masses = (np.asarray(scenario.population.counts, dtype=float)
                    * scenario.task.arrival_rate_per_user)
     per_operator = (scenario.n_operators, 1)
     design = np.tile(np.cumsum(full_masses), per_operator)
     masses = np.tile(full_masses, per_operator)
-    return menus_for(scenario, masses, profiles_at(scenario, design)), design
+    profiles = profiles_at(scenario, design)
+    return menus_for(scenario, masses, profiles), design, profiles
 
 
 def greedy_selection(
@@ -159,13 +164,13 @@ def _finish(
 
 
 def run_ct(scenario: Scenario) -> BenchmarkResult:
-    menus, design = posted_menus(scenario)
+    menus, design, _ = posted_menus(scenario)
     assignment = greedy_selection(scenario, menus)
     return _finish("CT", scenario, assignment, menus, design)
 
 
 def run_mc(scenario: Scenario) -> BenchmarkResult:
-    menus, _ = posted_menus(scenario)
+    menus, _, _ = posted_menus(scenario)
     assignment = greedy_selection(scenario, menus)
     new_menus, design = redesign_at_assignment(scenario, assignment)
     return _finish("MC", scenario, assignment, new_menus, design)
@@ -177,19 +182,19 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     cfg = scenario.solver
     delta = scenario.task.arrival_rate_per_user
     n_ops = len(scenario.operators)
-    menus, design0 = posted_menus(scenario)
+    menus, _, profiles = posted_menus(scenario)
 
     # Preferences from the posted menus at their design congestion.
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))
-    profiles = profiles_at(scenario, design0)
     traffic = np.asarray(pop.counts, dtype=float) * delta
     for m, (menu, spec, profile) in enumerate(
         zip(menus, scenario.operators, profiles)
     ):
-        utilities[:, m] = item_utilities(menu, pop, spec, profile)
-        viols = np.array(profile.probs(menu.latencies))
-        margins[m] = traffic * (np.array(menu.prices) - spec.violation_cost * viols
+        viols = profile.probs(menu.latencies)
+        utilities[:, m] = item_utilities(menu, pop, spec, viols)
+        margins[m] = traffic * (np.array(menu.prices)
+                                - spec.violation_cost * np.array(viols)
                                 - spec.exec_cost_per_task)
 
     # Quantize before ranking so summation noise cannot scramble ties.

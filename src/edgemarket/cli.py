@@ -179,10 +179,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
-    menus, design = benchmarks.posted_menus(scenario)
+    menus, _, profiles = benchmarks.posted_menus(scenario)
     worst = np.inf
-    for menu, spec, profile in zip(menus, scenario.operators,
-                                   market.profiles_at(scenario, design)):
+    for menu, spec, profile in zip(menus, scenario.operators, profiles):
         report = check_ic_ir(menu, scenario.population, spec.quality,
                              spec.refund, profile)
         worst = min(worst, report.ic_slack, report.ir_slack)

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from edgemarket.errors import DomainError
-from edgemarket.queueing import StageParams, ViolationProfile, stage_rate
+from edgemarket.queueing import (
+    StageParams,
+    ViolationProfile,
+    build_profiles,
+    stage_rate,
+)
+
+# Defaults of the menu solve, stated once; `scenario.SolverConfig` reads them.
+LATENCY_BOUNDS = (1e-3, 10.0)  # seconds; agreed latencies live in [lo, hi]
+ZETA = 0.9                     # share of the rate slack used as the bound exponent
 
 # ---------------------------------------------------------------------------
 # data model
@@ -189,24 +198,35 @@ def stage_params_for(
     )
 
 
+def violation_profiles(
+    specs: Sequence[OperatorSpec],
+    task: TaskSpec,
+    loads: Sequence[Sequence[float]],
+    zeta: float,
+) -> list[ViolationProfile]:
+    """Each operator's per-type (eta, g) violation bounds at its row of the
+    M x N cumulative loads, built in one array pass over all operators.
+
+    Types whose load leaves any stage unstable are pinned at 1, so downstream
+    solves and selections can still evaluate an overloaded operator.
+    """
+    stages = [stage_params_for(spec, task, 0.0) for spec in specs]
+    return build_profiles(
+        [[s.servers for s in row] for row in stages],
+        [[s.unit_rate for s in row] for row in stages],
+        loads,
+        zeta,
+    )
+
+
 def violation_profile(
     spec: OperatorSpec,
     task: TaskSpec,
     congestion: Sequence[float],
     zeta: float,
 ) -> ViolationProfile:
-    """Per-type (eta, g) violation bounds at the given cumulative loads.
-
-    Types whose load leaves any stage unstable are pinned at 1, so downstream
-    solves and selections can still evaluate an overloaded operator.
-    """
-    stages = stage_params_for(spec, task, 0.0)
-    return ViolationProfile.at_loads(
-        tuple(s.servers for s in stages),
-        tuple(s.unit_rate for s in stages),
-        congestion,
-        zeta,
-    )
+    """One operator's `violation_profiles` at the given cumulative loads."""
+    return violation_profiles((spec,), task, [congestion], zeta)[0]
 
 
 def _check_profile(profile: ViolationProfile, n_types: int) -> None:
@@ -237,14 +257,14 @@ def item_utilities(
     menu: ContractMenu,
     population: UserTypePopulation,
     spec: OperatorSpec,
-    profile: ViolationProfile,
+    violations: Sequence[float],
 ) -> list[float]:
-    """Type n's utility from item n, at the violation bound of n's priority class."""
-    viols = profile.probs(menu.latencies)
+    """Type n's utility from item n, at violations[n], the violation bound of
+    n's priority class at item n's latency."""
     return [
         user_utility(item, beta, population.alpha_worst, spec.quality, viol,
                      spec.refund)
-        for item, beta, viol in zip(menu.items, population.betas, viols)
+        for item, beta, viol in zip(menu.items, population.betas, violations)
     ]
 
 
@@ -578,6 +598,22 @@ def _latency_terms(
     ]
 
 
+def menu_profit(
+    prices: Sequence[float],
+    violations: Sequence[float],
+    population: UserTypePopulation,
+    spec: OperatorSpec,
+    demand_masses: Sequence[float],
+) -> float:
+    """Expected profit rate sum_n d_n (price_n - violation_cost * v_n) of a
+    priced menu; all-zero masses fall back to the population composition."""
+    masses = _resolve_masses(demand_masses, population)
+    total = 0.0
+    for mass, price, viol in zip(masses, prices, violations):
+        total += mass * (price - spec.violation_cost * viol)
+    return total
+
+
 def menu_objective(
     latencies: Sequence[float],
     population: UserTypePopulation,
@@ -590,14 +626,9 @@ def menu_objective(
     Direct evaluation (recover prices, then sum demand-weighted margins);
     used both by the optimizer's tests and by best-response audits.
     """
-    masses = _resolve_masses(demand_masses, population)
     lats = [float(x) for x in latencies]
     prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
-    viols = profile.probs(lats)
-    total = 0.0
-    for n in range(population.n_types):
-        total += masses[n] * (prices[n] - spec.violation_cost * viols[n])
-    return total
+    return menu_profit(prices, profile.probs(lats), population, spec, demand_masses)
 
 
 def optimize_menu(
@@ -606,8 +637,8 @@ def optimize_menu(
     task: TaskSpec,
     demand_masses: Sequence[float],
     congestion: Sequence[float],
-    latency_bounds: tuple[float, float] = (1e-3, 10.0),
-    zeta: float = 0.9,
+    latency_bounds: tuple[float, float] = LATENCY_BOUNDS,
+    zeta: float = ZETA,
 ) -> ContractMenu:
     """Profit-maximizing feasible menu for one operator at fixed congestion.
 
@@ -626,7 +657,7 @@ def optimize_menu_with_profile(
     spec: OperatorSpec,
     demand_masses: Sequence[float],
     profile: ViolationProfile,
-    latency_bounds: tuple[float, float] = (1e-3, 10.0),
+    latency_bounds: tuple[float, float] = LATENCY_BOUNDS,
 ) -> ContractMenu:
     """Same solve with the violation profile already built (hot path in the
     market loop)."""
@@ -705,8 +736,9 @@ def social_welfare(
     for m, (menu, spec, profile) in enumerate(zip(menus, specs, profiles)):
         _check_profile(profile, n_types)
         loads = [population.counts[n] * z[n, m + 1] * delta for n in range(n_types)]
-        total += operator_utility(menu, loads, spec, profile.probs(menu.latencies))
-        for load, u in zip(loads, item_utilities(menu, population, spec, profile)):
+        viols = profile.probs(menu.latencies)
+        total += operator_utility(menu, loads, spec, viols)
+        for load, u in zip(loads, item_utilities(menu, population, spec, viols)):
             total += load * u
     for n in range(n_types):
         total += population.counts[n] * z[n, 0] * delta * opt_out_utility

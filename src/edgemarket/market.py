@@ -22,11 +22,12 @@ from edgemarket.contracts import (
     UserTypePopulation,
     item_utilities,
     menu_objective,
+    menu_profit,
     operator_utility,
     optimize_menu_with_profile,
     social_welfare,
     stage_params_for,
-    violation_profile,
+    violation_profiles,
 )
 from edgemarket.errors import DomainError, SetupError
 from edgemarket.queueing import ViolationProfile
@@ -176,10 +177,9 @@ def capacities(scenario: Scenario) -> np.ndarray:
 
 def profiles_at(scenario: Scenario, loads: np.ndarray) -> list[ViolationProfile]:
     """Every operator's violation profile at its row of an M x N load matrix."""
-    return [
-        violation_profile(spec, scenario.task, loads[m], scenario.solver.zeta)
-        for m, spec in enumerate(scenario.operators)
-    ]
+    return violation_profiles(
+        scenario.operators, scenario.task, loads, scenario.solver.zeta
+    )
 
 
 def menus_for(
@@ -314,15 +314,22 @@ def check_floor_feasible(scenario: Scenario) -> None:
                 )
 
 
+def _violations(
+    menus: tuple[ContractMenu, ...], profiles: list[ViolationProfile]
+) -> list[list[float]]:
+    # Per operator: each type's violation bound at its own item's latency.
+    return [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
+
+
 def _utility_matrix(
     menus: tuple[ContractMenu, ...],
-    profiles: list[ViolationProfile],
+    violations: list[list[float]],
     scenario: Scenario,
 ) -> np.ndarray:
     # N x M: type n's utility from its own item at each operator.
     return np.array([
-        item_utilities(menu, scenario.population, spec, profile)
-        for menu, spec, profile in zip(menus, scenario.operators, profiles)
+        item_utilities(menu, scenario.population, spec, viols)
+        for menu, spec, viols in zip(menus, scenario.operators, violations)
     ]).T
 
 
@@ -382,7 +389,10 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         new_menus = menus_for(scenario, masses, profiles)
         menu_res = _menu_residual(menus, new_menus)
 
-        utilities = _utility_matrix(new_menus, profiles, scenario)
+        # One violation pass per operator serves the utilities and the
+        # trace objective; the prices are the solve's own.
+        viols = _violations(new_menus, profiles)
+        utilities = _utility_matrix(new_menus, viols, scenario)
         adjusted = utilities - prices.omegas[None, :] * (
             counts[:, None] * delta
         ) / caps[None, :]
@@ -398,7 +408,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         counter.price_updates += n_ops
 
         objectives = tuple(
-            menu_objective(new_menus[m].latencies, pop, spec, masses[m], profiles[m])
+            menu_profit(new_menus[m].prices, viols[m], pop, spec, masses[m])
             for m, spec in enumerate(scenario.operators)
         )
         trace.append(IterationRecord(
@@ -531,7 +541,8 @@ def verify_selection_equilibrium(
     delta = scenario.task.arrival_rate_per_user
     congestion = cumulative_load(MixedMatching(a), pop, delta)
     profiles = profiles_at(scenario, congestion.loads)
-    utilities = _utility_matrix(tuple(menus), profiles, scenario)
+    viols = _violations(tuple(menus), profiles)
+    utilities = _utility_matrix(tuple(menus), viols, scenario)
 
     regrets = []
     blamed = []  # operator column (1-based) behind each type's regret
@@ -561,8 +572,7 @@ def verify_selection_equilibrium(
         current = menu_objective(menus[m].latencies, pop, spec, demand[m], profile)
         improved = menu_objective(resolved[m].latencies, pop, spec, demand[m], profile)
         gains.append(improved - current)
-        viols = profile.probs(menus[m].latencies)
-        op_utils.append(operator_utility(menus[m], demand[m], spec, viols))
+        op_utils.append(operator_utility(menus[m], demand[m], spec, viols[m]))
 
     gain_ratios = [
         g / abs(u) if abs(u) > 0.0 else (0.0 if g <= 0.0 else math.inf)

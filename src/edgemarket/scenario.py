@@ -16,6 +16,8 @@ from typing import Any
 import numpy as np
 
 from edgemarket.contracts import (
+    LATENCY_BOUNDS,
+    ZETA,
     OperatorSpec,
     StageResources,
     TaskSpec,
@@ -36,13 +38,13 @@ class SolverConfig:
     temp_end: float = 0.002      # softmax temperature at the last iteration
     demand_floor: float = 0.05   # share of every type's traffic always in the design demand
     safety: float = 0.95         # effective capacity as a share of the bottleneck stage
-    zeta: float = 0.9            # share of the rate slack used as the bound exponent
+    zeta: float = ZETA
     max_iters: int = 50
     opt_out_utility: float = 0.0
     matching_tol: float = 1e-4   # max-abs matching change declaring convergence
     menu_tol: float = 1e-6       # max-abs latency change declaring convergence
-    latency_lo: float = 1e-3     # seconds; agreed latencies live in [lo, hi]
-    latency_hi: float = 10.0
+    latency_lo: float = LATENCY_BOUNDS[0]
+    latency_hi: float = LATENCY_BOUNDS[1]
 
     def __post_init__(self) -> None:
         if not 0.0 < self.damping <= 1.0:

@@ -57,7 +57,7 @@ def test_criterion_2_every_menu_is_ic_ir():
         small, np.cumsum(masses),
     ))
 
-    menus, design = posted_menus(scn)
+    menus, design, _ = posted_menus(scn)
     for m, spec in enumerate(scn.operators):
         produced.append((f"posted-op{m + 1}", spec, menus[m], pop, design[m]))
 

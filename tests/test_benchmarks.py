@@ -63,13 +63,15 @@ def single_op_scenario(counts=(5,)):
 
 def test_posted_menu_is_the_standalone_full_market_solve():
     scn = single_op_scenario((5, 8))
-    menus, design = posted_menus(scn)
+    menus, design, profiles = posted_menus(scn)
     masses = np.asarray(scn.population.counts, float) * 24.0
     standalone = optimize_menu(scn.population, SPEC, TASK, masses,
                                np.cumsum(masses))
     assert menus[0].latencies == standalone.latencies
     assert menus[0].prices == standalone.prices
     assert design == pytest.approx(np.cumsum(masses)[None, :])
+    profile = violation_profile(SPEC, TASK, design[0], scn.solver.zeta)
+    assert (profiles[0].eta == profile.eta).all() and (profiles[0].g == profile.g).all()
 
 
 def test_stored_totals_match_recomputation(default_results):
@@ -168,7 +170,7 @@ def test_gsmc_has_no_blocking_pair(default_results):
     pop = scn.population
     delta = scn.task.arrival_rate_per_user
     n_ops = len(scn.operators)
-    menus, design0 = posted_menus(scn)
+    menus, design0, _ = posted_menus(scn)
 
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))

@@ -36,8 +36,14 @@ from edgemarket.contracts import (
     menu_to_obj,
     optimize_menu_with_profile,
     stage_params_for,
+    violation_profiles,
 )
-from edgemarket.queueing import ViolationModel, violation_prob
+from edgemarket.queueing import (
+    _ARRAY_MIN_LANES,
+    ViolationModel,
+    build_profiles,
+    violation_prob,
+)
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
 SPEC = OperatorSpec(
@@ -62,38 +68,52 @@ def make_profile(pop):
 
 
 def test_violation_profile_equals_scalar_model_bit_for_bit():
+    # Each trial stacks 4 random operators with 24 loads each: the stacked call
+    # has enough distinct (operator, stage, load) lanes for the array Erlang-C,
+    # while each operator's own profile stays on the scalar path.
     rng = np.random.default_rng(59)
     for trial in range(60):
-        spec = OperatorSpec(
-            uplink=StageResources(int(rng.integers(1, 60)),
-                                  float(rng.uniform(1.0, 20.0))),
-            processing=StageResources(int(rng.integers(1, 40)),
-                                      float(rng.uniform(1e13, 6e13))),
-            downlink=StageResources(int(rng.integers(1, 200)),
-                                    float(rng.uniform(1.0, 10.0))),
-            quality=1.5, exec_cost_per_task=8e-6, violation_cost=1.2e-3, refund=1.2e-4,
-        )
-        stages = stage_params_for(spec, TASK, 0.0)
-        capacity = min(s.service_capacity for s in stages)
-        loads = np.sort(rng.uniform(0.0, 1.2 * capacity, 12))
-        loads[:2] = 0.0                  # types with no traffic yet
-        loads[5] = loads[4]              # a type adding no traffic repeats a load
-        loads[-1] = 1.5 * capacity       # pinned: some stage unstable
-        up = stages[0]
-        loads[-2] = (up.servers - 1) * up.unit_rate  # r == mu at the uplink
+        specs, rows, lanes = [], [], 0
+        for _ in range(4):
+            spec = OperatorSpec(
+                uplink=StageResources(int(rng.integers(1, 60)),
+                                      float(rng.uniform(1.0, 20.0))),
+                processing=StageResources(int(rng.integers(1, 40)),
+                                          float(rng.uniform(1e13, 6e13))),
+                downlink=StageResources(int(rng.integers(1, 200)),
+                                        float(rng.uniform(1.0, 10.0))),
+                quality=1.5, exec_cost_per_task=8e-6, violation_cost=1.2e-3,
+                refund=1.2e-4,
+            )
+            stages = stage_params_for(spec, TASK, 0.0)
+            capacity = min(s.service_capacity for s in stages)
+            loads = np.sort(rng.uniform(0.0, 1.2 * capacity, 24))
+            loads[:2] = 0.0                  # types with no traffic yet
+            loads[5] = loads[4]              # a type adding no traffic repeats a load
+            loads[-1] = 1.5 * capacity       # pinned: some stage unstable
+            up = stages[0]
+            loads[-2] = (up.servers - 1) * up.unit_rate  # r == mu at the uplink
+            specs.append(spec)
+            rows.append(loads)
+            lanes += 3 * len({x for x in loads.tolist() if 0.0 < x < capacity})
+        assert lanes >= _ARRAY_MIN_LANES > 3 * 24
         zeta = float(rng.uniform(0.1, 0.95))
-        profile = violation_profile(spec, TASK, loads, zeta)
-        assert len(profile) == len(loads)
-        for n, lam in enumerate(loads.tolist()):
-            at_load = stage_params_for(spec, TASK, lam)
-            if all(s.is_stable for s in at_load):
-                model = ViolationModel.from_stages(at_load, zeta)
-                assert profile.eta[n] == model.eta and profile.g[n] == model.g_product
-                for t in (1e-3, 0.05, 0.4, 3.0):
-                    assert profile.prob(n, t) == violation_prob(model, t)
-            else:
-                assert profile.eta[n] == 0.0 and profile.g[n] == 1.0
-                assert profile.prob(n, 0.05) == 1.0
+        stacked = violation_profiles(specs, TASK, np.array(rows), zeta)
+        for spec, loads, profile in zip(specs, rows, stacked):
+            single = violation_profile(spec, TASK, loads, zeta)
+            assert len(profile) == len(single) == len(loads)
+            for n, lam in enumerate(loads.tolist()):
+                at_load = stage_params_for(spec, TASK, lam)
+                if all(s.is_stable for s in at_load):
+                    model = ViolationModel.from_stages(at_load, zeta)
+                    for p in (profile, single):
+                        assert p.eta[n] == model.eta and p.g[n] == model.g_product
+                        for t in (1e-3, 0.05, 0.4, 3.0):
+                            assert p.prob(n, t) == violation_prob(model, t)
+                else:
+                    for p in (profile, single):
+                        assert p.eta[n] == 0.0 and p.g[n] == 1.0
+                        assert p.prob(n, 0.05) == 1.0
 
 
 def test_violation_profile_rejects_bad_loads_and_lengths():
@@ -112,7 +132,7 @@ def test_violation_profile_rejects_bad_loads_and_lengths():
     with pytest.raises(DomainError):
         ViolationModel.from_stages((StageParams(c, mu, lam),) * 3, 0.9)
     with pytest.raises(DomainError):
-        ViolationProfile.at_loads((c,) * 3, (mu,) * 3, [lam], 0.9)
+        build_profiles([(c,) * 3], [(mu,) * 3], [[lam]], 0.9)
 
 
 def test_population_rejects_increasing_betas():

@@ -20,7 +20,7 @@ from edgemarket import (
     stage_tail,
     violation_prob,
 )
-from edgemarket.queueing import StageTail
+from edgemarket.queueing import _ARRAY_MIN_LANES, StageTail, _erlang_c_table
 
 
 def erlang_c_direct(c: int, a: float) -> float:
@@ -80,6 +80,28 @@ def test_erlang_c_matches_high_precision_oracle():
                     worst_rel = max(worst_rel, err / want)
     assert worst_abs <= decimal.Decimal("1e-15")
     assert worst_rel <= decimal.Decimal("1e-12")
+
+
+def test_array_erlang_c_equals_scalar_bit_for_bit():
+    # One single-stage operator per (c, mu), its loads on a rho grid up to
+    # 0.999 plus rho = 1/2 (bd0's branch point): enough lanes for the array
+    # kernel, which must return exactly what scalar erlang_c returns. The grid
+    # holds underflowed lanes (result 0) and tails of over a thousand terms.
+    servers = (1, 2, 3, 7, 15, 16, 20, 55, 150, 400, 1000, 2500, 6000, 12000,
+               20000)
+    rhos = np.append(np.linspace(0.001, 0.999, 40), 0.5).tolist()
+    rows = [(c, mu) for c in servers for mu in (0.37, 20.0)]
+    loads = np.array([[rho * c * mu for rho in rhos] for c, mu in rows])
+    assert loads.size >= _ARRAY_MIN_LANES
+    table = _erlang_c_table(
+        np.array([[c] for c, _ in rows]), np.array([[mu] for _, mu in rows]), loads
+    )
+    zeros = 0
+    for (c, mu), waits, row in zip(rows, table[:, 0].tolist(), loads.tolist()):
+        for got, lam in zip(waits, row):
+            assert got == erlang_c(c, lam, mu), (c, mu, lam)
+            zeros += got == 0.0
+    assert zeros > 0
 
 
 def test_erlang_c_is_robust_across_accepted_regimes():

@@ -2,6 +2,7 @@
 trips, and the sweep machinery built on top of them."""
 
 import csv
+import inspect
 import json
 
 import numpy as np
@@ -18,6 +19,7 @@ from edgemarket import (
     effective_capacity,
     load_scenario,
 )
+from edgemarket.contracts import optimize_menu, optimize_menu_with_profile
 from edgemarket.market import check_floor_feasible
 from edgemarket.scenario import (
     apply_override,
@@ -60,6 +62,18 @@ def test_default_scenario_shape_and_frozen_values():
         assert op.refund == pytest.approx(1.2e-4)
         assert op.violation_cost == pytest.approx(1.2e-3)
         assert op.exec_cost_per_task == pytest.approx(8e-6)
+
+
+def test_menu_solve_defaults_are_the_solver_defaults():
+    # optimize_menu's keyword defaults and SolverConfig's fields read the same
+    # constants, so a changed default changes both.
+    cfg = SolverConfig()
+    for fn in (optimize_menu, optimize_menu_with_profile):
+        params = inspect.signature(fn).parameters
+        bounds = params["latency_bounds"].default
+        assert bounds == cfg.latency_bounds == (1e-3, 10.0)
+    zeta = inspect.signature(optimize_menu).parameters["zeta"].default
+    assert zeta == cfg.zeta == 0.9
 
 
 def test_default_composition_is_reproducible():
