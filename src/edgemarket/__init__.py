@@ -7,7 +7,6 @@ comparison), `scenario`/`experiments` (configuration and sweeps), `cli`.
 """
 
 from edgemarket.contracts import (
-    ContractItem,
     ContractMenu,
     OperatorSpec,
     StageResources,
@@ -59,7 +58,6 @@ from edgemarket.scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ContractItem",
     "ContractMenu",
     "DomainError",
     "MarketOutcome",

@@ -110,16 +110,16 @@ def greedy_selection(
         for m, spec in enumerate(scenario.operators):
             if assigned[m] + traffic > caps[m] + 1e-9:
                 continue
-            item = menus[m].items[n]
+            latency = menus[m].latencies[n]
             stages = stage_params_for(spec, task, float(assigned[m] + traffic))
             if all(s.is_stable for s in stages):
                 viol = violation_prob(
-                    ViolationModel.from_stages(stages, cfg.zeta), item.latency
+                    ViolationModel.from_stages(stages, cfg.zeta), latency
                 )
             else:
                 viol = 1.0  # an overloaded stage pins the bound, as in a profile
-            u = user_utility(item, pop.betas[n], pop.alpha_worst, spec.quality,
-                             viol, spec.refund)
+            u = user_utility(latency, menus[m].prices[n], pop.betas[n],
+                             pop.alpha_worst, spec.quality, viol, spec.refund)
             if best_u is None or u > best_u + _TIE_TOL:
                 best_m, best_u = m, u
         if best_u is not None and best_u >= cfg.opt_out_utility - _TIE_TOL:

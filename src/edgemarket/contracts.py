@@ -131,39 +131,36 @@ class UserTypePopulation:
 
 
 @dataclass(frozen=True)
-class ContractItem:
-    latency: float  # agreed latency, seconds
-    price: float    # USD per task
-
-    def __post_init__(self) -> None:
-        if not self.latency > 0.0 or not math.isfinite(self.latency):
-            raise DomainError(f"latency must be positive and finite, got {self.latency}")
-        if not math.isfinite(self.price):
-            raise DomainError(f"price must be finite, got {self.price}")
-
-
-@dataclass(frozen=True)
 class ContractMenu:
-    items: tuple[ContractItem, ...]
+    """One operator's menu: item n is (latencies[n], prices[n]), type n's
+    agreed latency in seconds and its price in USD per task."""
+
+    latencies: tuple[float, ...]
+    prices: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.items:
+        lats, prices = tuple(self.latencies), tuple(self.prices)
+        if not lats:
             raise DomainError("menu must contain at least one item")
-
-    @property
-    def latencies(self) -> tuple[float, ...]:
-        return tuple(item.latency for item in self.items)
-
-    @property
-    def prices(self) -> tuple[float, ...]:
-        return tuple(item.price for item in self.items)
+        if len(lats) != len(prices):
+            raise DomainError(
+                f"latencies and prices must match in length, got "
+                f"{len(lats)} vs {len(prices)}"
+            )
+        for lat, price in zip(lats, prices):
+            if not lat > 0.0 or not math.isfinite(lat):
+                raise DomainError(f"latency must be positive and finite, got {lat}")
+            if not math.isfinite(price):
+                raise DomainError(f"price must be finite, got {price}")
+        object.__setattr__(self, "latencies", lats)
+        object.__setattr__(self, "prices", prices)
 
 
 def menu_to_obj(menu: ContractMenu) -> list[dict]:
     """JSON-ready form; floats pass through untouched so round-trips are exact."""
     return [
-        {"type_index": n + 1, "latency_s": item.latency, "price_usd": item.price}
-        for n, item in enumerate(menu.items)
+        {"type_index": n + 1, "latency_s": lat, "price_usd": price}
+        for n, (lat, price) in enumerate(zip(menu.latencies, menu.prices))
     ]
 
 
@@ -173,7 +170,8 @@ def menu_from_obj(obj: Sequence[dict]) -> ContractMenu:
         if row["type_index"] != n + 1:
             raise DomainError(f"type_index values must be 1..N, got {row['type_index']}")
     return ContractMenu(
-        tuple(ContractItem(row["latency_s"], row["price_usd"]) for row in rows)
+        tuple(row["latency_s"] for row in rows),
+        tuple(row["price_usd"] for row in rows),
     )
 
 
@@ -241,16 +239,17 @@ def _check_profile(profile: ViolationProfile, n_types: int) -> None:
 
 
 def user_utility(
-    item: ContractItem,
+    latency: float,
+    price: float,
     beta: float,
     alpha_worst: float,
     quality: float,
     violation: float,
     refund: float,
 ) -> float:
-    """Type utility from one item: quality value less latency disutility and
-    price, plus the expected refund."""
-    return alpha_worst * quality - beta * item.latency - item.price + refund * violation
+    """Type utility from one item (latency, price): quality value less latency
+    disutility and price, plus the expected refund."""
+    return alpha_worst * quality - beta * latency - price + refund * violation
 
 
 def item_utilities(
@@ -262,9 +261,10 @@ def item_utilities(
     """Type n's utility from item n, at violations[n], the violation bound of
     n's priority class at item n's latency."""
     return [
-        user_utility(item, beta, population.alpha_worst, spec.quality, viol,
+        user_utility(lat, price, beta, population.alpha_worst, spec.quality, viol,
                      spec.refund)
-        for item, beta, viol in zip(menu.items, population.betas, violations)
+        for lat, price, beta, viol
+        in zip(menu.latencies, menu.prices, population.betas, violations)
     ]
 
 
@@ -275,11 +275,11 @@ def operator_utility(
     violations: Sequence[float],
 ) -> float:
     """Revenue net of expected violation costs and execution costs, per second."""
-    if len(loads) != len(menu.items) or len(violations) != len(menu.items):
+    if not len(loads) == len(violations) == len(menu.prices):
         raise DomainError("loads and violations must match the menu length")
     total = 0.0
-    for item, load, viol in zip(menu.items, loads, violations):
-        total += load * (item.price - spec.violation_cost * viol - spec.exec_cost_per_task)
+    for price, load, viol in zip(menu.prices, loads, violations):
+        total += load * (price - spec.violation_cost * viol - spec.exec_cost_per_task)
     return total
 
 
@@ -324,13 +324,14 @@ def _utility_matrix(
     # u[n][j]: type n's utility from item j; the violation level belongs to the
     # item (it is a property of the priority class serving it).
     viols = profile.probs(menu.latencies)
+    items = list(zip(menu.latencies, menu.prices, viols))
     return [
         [
-            user_utility(menu.items[j], population.betas[n], population.alpha_worst,
-                         quality, viols[j], refund)
-            for j in range(len(menu.items))
+            user_utility(lat, price, beta, population.alpha_worst, quality, viol,
+                         refund)
+            for lat, price, viol in items
         ]
-        for n in range(population.n_types)
+        for beta in population.betas
     ]
 
 
@@ -362,7 +363,7 @@ def check_feasibility(
 ) -> FeasibilityReport:
     """Sufficient conditions: monotone latencies, participation of the most
     latency-sensitive type, and both adjacent incentive directions."""
-    if len(menu.items) != population.n_types:
+    if len(menu.latencies) != population.n_types:
         raise DomainError("menu length must match the number of types")
     _check_profile(profile, population.n_types)
     u = _utility_matrix(menu, population, quality, refund, profile)
@@ -409,7 +410,7 @@ def check_ic_ir(
 ) -> ScreeningReport:
     """Exhaustive check over all N(N-1) incentive pairs and N participation
     constraints."""
-    if len(menu.items) != population.n_types:
+    if len(menu.latencies) != population.n_types:
         raise DomainError("menu length must match the number of types")
     _check_profile(profile, population.n_types)
     u = _utility_matrix(menu, population, quality, refund, profile)
@@ -669,9 +670,7 @@ def optimize_menu_with_profile(
     terms = _latency_terms(population, spec, masses, profile)
     lats = _isotonic_minimize(terms, lo, hi)
     prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
-    return ContractMenu(
-        tuple(ContractItem(lat, price) for lat, price in zip(lats, prices))
-    )
+    return ContractMenu(tuple(lats), tuple(prices))
 
 
 def menu_grid_gap(

@@ -11,7 +11,7 @@ matching and the menus stop moving.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,23 +110,6 @@ class CongestionVector:
         object.__setattr__(self, "loads", arr)
 
 
-@dataclass
-class OpCounter:
-    """User-side elementary operation counts (matrix entries touched)."""
-
-    utility_evals: int = 0
-    response_entries: int = 0
-    damp_updates: int = 0
-    load_entries: int = 0
-    mass_entries: int = 0
-    price_updates: int = 0
-
-    @property
-    def total(self) -> int:
-        return (self.utility_evals + self.response_entries + self.damp_updates
-                + self.load_entries + self.mass_entries + self.price_updates)
-
-
 @dataclass(frozen=True)
 class IterationRecord:
     iteration: int
@@ -147,12 +130,12 @@ class MarketOutcome:
     converged: bool
     iterations: int
     trace: tuple[IterationRecord, ...]
-    counter: OpCounter
+    user_side_ops: int                 # array entries the user-side updates wrote
     history: tuple[tuple[tuple[ContractMenu, ...], np.ndarray], ...] = ()
 
     @property
     def ops_per_iteration(self) -> float:
-        return self.counter.total / max(self.iterations, 1)
+        return self.user_side_ops / max(self.iterations, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +348,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     matching = MixedMatching.uniform(n_types, n_ops)
     prices = ShadowPrices.zeros(n_ops)
 
-    counter = OpCounter()
+    user_side_ops = 0
     trace: list[IterationRecord] = []
     history: list[tuple[tuple[ContractMenu, ...], np.ndarray]] = []
     if keep_history:
@@ -381,9 +364,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         temperature = anneal(cfg.temp_schedule, k, cfg.max_iters)
 
         congestion = cumulative_load(matching, pop, delta)
-        counter.load_entries += n_ops * n_types
         masses = demand_mass(matching, pop, delta, cfg.demand_floor)
-        counter.mass_entries += n_ops * n_types
 
         profiles = profiles_at(scenario, congestion.loads)
         new_menus = menus_for(scenario, masses, profiles)
@@ -396,16 +377,16 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         adjusted = utilities - prices.omegas[None, :] * (
             counts[:, None] * delta
         ) / caps[None, :]
-        counter.utility_evals += n_ops * n_types
         response = mixed_response(adjusted, cfg.opt_out_utility, temperature)
-        counter.response_entries += (n_ops + 1) * n_types
         new_matching = damp(matching, response, cfg.damping)
-        counter.damp_updates += (n_ops + 1) * n_types
         matching_res = float(np.max(np.abs(new_matching.probs - matching.probs)))
         prices = update_shadow_prices(
             prices, new_matching, pop, delta, caps, cfg.price_step
         )
-        counter.price_updates += n_ops
+        user_side_ops += (
+            congestion.loads.size + masses.size + adjusted.size
+            + response.probs.size + new_matching.probs.size + prices.omegas.size
+        )
 
         objectives = tuple(
             menu_profit(new_menus[m].prices, viols[m], pop, spec, masses[m])
@@ -453,7 +434,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),
-        counter=counter,
+        user_side_ops=user_side_ops,
         history=tuple(history),
     )
 

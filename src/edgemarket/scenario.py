@@ -120,7 +120,7 @@ def dirichlet_composition(
     remainder ties go to the lower type index so draws are reproducible.
     """
     if not alpha > 0.0:
-        raise DomainError(f"alpha must be > 0, got {alpha}")
+        raise DomainError(f"dirichlet_alpha must be > 0, got {alpha}")
     if n_types < 1:
         raise DomainError(f"n_types must be >= 1, got {n_types}")
     if total < 0:

@@ -203,7 +203,7 @@ def test_criterion_9_user_side_update_is_linear_in_mn():
             scn = scenario_from_obj(obj)
             outcome = run_fixed_point(scn)
             cells.append((n_ops * n_types,
-                          outcome.counter.total / outcome.iterations))
+                          outcome.ops_per_iteration))
     x = np.array([c[0] for c in cells])
     y = np.array([c[1] for c in cells])
     coeffs = np.polyfit(x, y, 1)

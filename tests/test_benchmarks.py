@@ -177,12 +177,13 @@ def test_gsmc_has_no_blocking_pair(default_results):
     for m, spec in enumerate(scn.operators):
         profile = violation_profile(spec, scn.task, design0[m], scn.solver.zeta)
         for n in range(pop.n_types):
-            item = menus[m].items[n]
-            viol = profile.prob(n, item.latency)
-            utilities[n, m] = user_utility(item, pop.betas[n], pop.alpha_worst,
-                                           spec.quality, viol, spec.refund)
+            latency, price = menus[m].latencies[n], menus[m].prices[n]
+            viol = profile.prob(n, latency)
+            utilities[n, m] = user_utility(latency, price, pop.betas[n],
+                                           pop.alpha_worst, spec.quality, viol,
+                                           spec.refund)
             margins[m, n] = pop.counts[n] * delta * (
-                item.price - spec.violation_cost * viol
+                price - spec.violation_cost * viol
                 - spec.exec_cost_per_task
             )
     utilities = np.round(utilities / _TIE_TOL) * _TIE_TOL

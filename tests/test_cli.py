@@ -7,6 +7,8 @@ import pytest
 from edgemarket.cli import main
 
 SMALL = ("--set", "population.total_users=24", "--set", "population.n_types=3")
+SOLVE_OUTPUTS = ("menus.json", "matching.csv", "assignment.json", "trace.csv",
+                 "metrics.json")
 
 
 def read(path):
@@ -16,8 +18,7 @@ def read(path):
 def test_solve_writes_all_outputs(tmp_path):
     out = tmp_path / "solve"
     assert main(["solve", "--out", str(out)]) == 0
-    for name in ("menus.json", "matching.csv", "assignment.json",
-                 "trace.csv", "metrics.json"):
+    for name in SOLVE_OUTPUTS:
         assert (out / name).exists(), name
 
     metrics = json.loads(read(out / "metrics.json"))
@@ -47,6 +48,15 @@ def test_solve_writes_all_outputs(tmp_path):
     for line in matching[1:]:
         probs = [float(x) for x in line.split(",")[1:]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_solve_without_convergence_exits_2_with_all_outputs(tmp_path, capsys):
+    out = tmp_path / "solve"
+    assert main(["solve", "--out", str(out), "--set", "solver.max_iters=1"]) == 2
+    assert "no convergence in 1 iterations" in capsys.readouterr().err
+    for name in SOLVE_OUTPUTS:
+        assert (out / name).exists(), name
+    assert json.loads(read(out / "metrics.json"))["converged"] is False
 
 
 def test_solve_rejects_bad_override(tmp_path, capsys):

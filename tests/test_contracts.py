@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from edgemarket import (
-    ContractItem,
     ContractMenu,
     DomainError,
     OperatorSpec,
@@ -144,14 +143,13 @@ def test_population_rejects_increasing_betas():
 
 def test_user_utility_cancellation_limit():
     beta = 8e-4
-    item = ContractItem(latency=1e-6, price=1.0 * 1.5 + 1.2e-4)
-    u = user_utility(item, beta, 1.0, 1.5, violation=1.0, refund=1.2e-4)
+    u = user_utility(1e-6, 1.0 * 1.5 + 1.2e-4, beta, 1.0, 1.5, violation=1.0,
+                     refund=1.2e-4)
     assert u == pytest.approx(-beta * 1e-6, abs=1e-15)
 
 
 def test_user_utility_direct_arithmetic():
-    item = ContractItem(latency=100.0, price=0.0)
-    u = user_utility(item, 8e-4, 1.0, 1.5, violation=0.0, refund=1.2e-4)
+    u = user_utility(100.0, 0.0, 8e-4, 1.0, 1.5, violation=0.0, refund=1.2e-4)
     assert u == pytest.approx(1.42, abs=1e-12)
 
 
@@ -159,14 +157,13 @@ def test_recovered_single_item_gives_worst_type_zero():
     pop = make_population(1, counts=(10,))
     profile, _ = make_profile(pop)
     prices = recover_rewards([0.4], pop, SPEC.quality, SPEC.refund, profile)
-    item = ContractItem(0.4, prices[0])
-    u = user_utility(item, pop.betas[0], pop.alpha_worst, SPEC.quality,
+    u = user_utility(0.4, prices[0], pop.betas[0], pop.alpha_worst, SPEC.quality,
                      profile.prob(0, 0.4), SPEC.refund)
     assert abs(u) <= 1e-12
 
 
 def test_operator_utility_examples():
-    menu = ContractMenu((ContractItem(0.5, 1e-3),))
+    menu = ContractMenu((0.5,), (1e-3,))
     pop1 = UserTypePopulation(betas=(8e-4,), counts=(1,))
     assert operator_utility(menu, [0.0], SPEC, [0.1]) == 0.0
     got = operator_utility(menu, [24.0], SPEC, [0.1])
@@ -174,6 +171,8 @@ def test_operator_utility_examples():
     assert operator_utility(menu, [48.0], SPEC, [0.1]) == pytest.approx(2 * got, rel=1e-12)
     with pytest.raises(DomainError):
         operator_utility(menu, [1.0, 2.0], SPEC, [0.1])
+    with pytest.raises(DomainError):
+        ContractMenu((0.5, 0.6), (1e-3,))
     del pop1
 
 
@@ -202,7 +201,7 @@ def test_recovery_binds_adjacent_constraints():
     for _ in range(25):
         lats = np.sort(rng.uniform(0.05, 2.0, 3))
         prices = recover_rewards(lats, pop, SPEC.quality, SPEC.refund, profile)
-        menu = ContractMenu(tuple(ContractItem(l, p) for l, p in zip(lats, prices)))
+        menu = ContractMenu(tuple(lats), tuple(prices))
         rep = check_feasibility(menu, pop, SPEC.quality, SPEC.refund, profile)
         assert abs(rep.ir_worst_slack) <= 1e-12
         assert abs(rep.ic_down_slack) <= 1e-12
@@ -213,14 +212,14 @@ def test_check_feasibility_flags_constructed_violations():
     pop = make_population(2, counts=(10, 12))
     profile, _ = make_profile(pop)
     prices = recover_rewards([0.2, 0.6], pop, SPEC.quality, SPEC.refund, profile)
-    good = ContractMenu((ContractItem(0.2, prices[0]), ContractItem(0.6, prices[1])))
+    good = ContractMenu((0.2, 0.6), tuple(prices))
     assert check_feasibility(good, pop, SPEC.quality, SPEC.refund, profile).passed
 
-    swapped = ContractMenu((ContractItem(0.6, prices[0]), ContractItem(0.2, prices[1])))
+    swapped = ContractMenu((0.6, 0.2), tuple(prices))
     rep = check_feasibility(swapped, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.monotone_slack < 0 and not rep.passed
 
-    greedy = ContractMenu((ContractItem(0.2, prices[0] + 1.0), good.items[1]))
+    greedy = ContractMenu(good.latencies, (prices[0] + 1.0, good.prices[1]))
     rep = check_feasibility(greedy, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.ir_worst_slack < 0 and not rep.passed
 
@@ -235,14 +234,13 @@ def test_check_ic_ir_full_scan():
     single = make_population(1, counts=(10,))
     sprofile, _ = make_profile(single)
     prices = recover_rewards([0.4], single, SPEC.quality, SPEC.refund, sprofile)
-    rep1 = check_ic_ir(ContractMenu((ContractItem(0.4, prices[0]),)),
+    rep1 = check_ic_ir(ContractMenu((0.4,), (prices[0],)),
                        single, SPEC.quality, SPEC.refund, sprofile)
     assert rep1.ic_slack == 0.0 and abs(rep1.ir_slack) <= 1e-12
 
     # Item 3 is strictly cheaper at nearly the same latency, so the worst
     # defection is type 1 grabbing it; the pair is 0-based (type, item).
-    bad = ContractMenu((ContractItem(0.3, 1.2), ContractItem(0.3, 1.1),
-                        ContractItem(0.35, 1.0)))
+    bad = ContractMenu((0.3, 0.3, 0.35), (1.2, 1.1, 1.0))
     rep_bad = check_ic_ir(bad, pop, SPEC.quality, SPEC.refund, profile)
     assert rep_bad.ic_slack < 0
     assert rep_bad.ic_pair == (0, 2)
@@ -464,17 +462,16 @@ def test_alpha_shift_never_changes_item_comparisons():
     pop = make_population(2, counts=(10, 12))
     profile, _ = make_profile(pop)
     prices = recover_rewards([0.2, 0.7], pop, SPEC.quality, SPEC.refund, profile)
-    items = tuple(ContractItem(l, p) for l, p in zip((0.2, 0.7), prices))
     beta = pop.betas[1]
     v0, v1 = profile.prob(0, 0.2), profile.prob(1, 0.7)
     for alpha in (1.0, 3.7, 0.2):
         diff = (
-            user_utility(items[0], beta, alpha, SPEC.quality, v0, SPEC.refund)
-            - user_utility(items[1], beta, alpha, SPEC.quality, v1, SPEC.refund)
+            user_utility(0.2, prices[0], beta, alpha, SPEC.quality, v0, SPEC.refund)
+            - user_utility(0.7, prices[1], beta, alpha, SPEC.quality, v1, SPEC.refund)
         )
         base = (
-            user_utility(items[0], beta, 1.0, SPEC.quality, v0, SPEC.refund)
-            - user_utility(items[1], beta, 1.0, SPEC.quality, v1, SPEC.refund)
+            user_utility(0.2, prices[0], beta, 1.0, SPEC.quality, v0, SPEC.refund)
+            - user_utility(0.7, prices[1], beta, 1.0, SPEC.quality, v1, SPEC.refund)
         )
         assert diff == pytest.approx(base, abs=1e-12)
 
@@ -515,10 +512,11 @@ def test_social_welfare_single_operator_definition():
     got = social_welfare(menus, matching, pop, TASK, specs, profiles)
     profile = profiles[0]
     loads = np.asarray(pop.counts, float) * 24.0
-    viols = [profile.prob(n, menus[0].items[n].latency) for n in range(2)]
+    viols = [profile.prob(n, menus[0].latencies[n]) for n in range(2)]
     op = operator_utility(menus[0], loads, specs[0], viols)
     users = sum(
-        loads[n] * user_utility(menus[0].items[n], pop.betas[n], pop.alpha_worst,
+        loads[n] * user_utility(menus[0].latencies[n], menus[0].prices[n],
+                                pop.betas[n], pop.alpha_worst,
                                 specs[0].quality, viols[n], specs[0].refund)
         for n in range(2)
     )
@@ -531,7 +529,7 @@ def test_social_welfare_price_transfers_cancel():
     matching = np.array([[0.0, 1.0], [0.4, 0.6]])
     base = social_welfare(menus, matching, pop, TASK, specs, profiles)
     bumped = tuple(
-        ContractMenu(tuple(ContractItem(i.latency, i.price + 0.05) for i in m.items))
+        ContractMenu(m.latencies, tuple(p + 0.05 for p in m.prices))
         for m in menus
     )
     shifted = social_welfare(bumped, matching, pop, TASK, specs, profiles)

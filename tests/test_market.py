@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from edgemarket import (
-    ContractItem,
     ContractMenu,
     DomainError,
     MixedMatching,
@@ -261,7 +260,7 @@ def test_op_counter_totals():
     out = run_fixed_point(scn)
     m, n = 3, 4
     per_iter = 5 * m * n + 2 * n + m
-    assert out.counter.total == per_iter * out.iterations
+    assert out.user_side_ops == per_iter * out.iterations
     assert out.ops_per_iteration == pytest.approx(per_iter)
 
 
@@ -307,9 +306,7 @@ def test_equilibrium_audit_blames_cheaper_rival():
     scn = small_scenario((5,), n_ops=2)
     loads = np.asarray(scn.population.counts, float) * 24.0
     menu = optimize_menu(scn.population, SPEC, TASK, loads, np.cumsum(loads))
-    pricier = ContractMenu(tuple(
-        ContractItem(i.latency, i.price + 0.5) for i in menu.items
-    ))
+    pricier = ContractMenu(menu.latencies, tuple(p + 0.5 for p in menu.prices))
     assignment = np.array([[0, 0, 1]])
     report = verify_selection_equilibrium(assignment, (menu, pricier), scn)
     assert report.max_regret >= 0.4
@@ -320,9 +317,7 @@ def test_equilibrium_audit_flags_ir_shortfall():
     scn = small_scenario((5,))
     loads = np.asarray(scn.population.counts, float) * 24.0
     menu = optimize_menu(scn.population, SPEC, TASK, loads, np.cumsum(loads))
-    pricier = ContractMenu(tuple(
-        ContractItem(i.latency, i.price + 0.5) for i in menu.items
-    ))
+    pricier = ContractMenu(menu.latencies, tuple(p + 0.5 for p in menu.prices))
     report = verify_selection_equilibrium(np.array([[0, 1]]), (pricier,), scn)
     assert report.max_regret >= 0.4
     assert report.worst_pair == (1, 1)

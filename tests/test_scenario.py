@@ -182,6 +182,19 @@ def test_validation_errors_name_the_field():
         load_scenario(None, overrides=("solver.zeta",))
     with pytest.raises(DomainError):
         StageResources(0, 9.0)
+    for override in ("solver.price_step=0", "solver.demand_floor=1",
+                     "solver.safety=1.5", "solver.max_iters=0",
+                     "solver.matching_tol=0", "solver.menu_tol=-1",
+                     "solver.latency_lo=0", "solver.latency_hi=5e-4",
+                     "operators=[]", "dirichlet_alpha=0"):
+        field = override.split("=")[0].rpartition(".")[2]
+        with pytest.raises(DomainError, match=field):
+            load_scenario(None, overrides=(override,))
+    # With the counts pinned no composition is drawn; the scenario's own check
+    # rejects the concentration.
+    with pytest.raises(DomainError, match="dirichlet_alpha"):
+        load_scenario(None, overrides=("population.counts=[20,20,20,20,20,20,20,10]",
+                                       "dirichlet_alpha=0"))
 
 
 def test_scenario_for_cell_axes():
@@ -197,6 +210,9 @@ def test_scenario_for_cell_axes():
     assert scn.operators[0].violation_cost == pytest.approx(0.6e-3)
     scn = scenario_for_cell(base, "zeta", 0.7, 0)
     assert scn.solver.zeta == 0.7
+    scn = scenario_for_cell(base, "dirichlet_alpha", 0.5, 3)
+    assert scn.dirichlet_alpha == 0.5
+    assert scn.population.total_users == 30
     with pytest.raises(DomainError):
         scenario_for_cell(base, "nonsense", 1.0, 0)
     with pytest.raises(DomainError):
