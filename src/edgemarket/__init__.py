@@ -8,6 +8,7 @@ comparison), `scenario`/`experiments` (configuration and sweeps), `cli`.
 
 from edgemarket.contracts import (
     ContractMenu,
+    MenuSolve,
     OperatorSpec,
     StageResources,
     TaskSpec,
@@ -18,6 +19,7 @@ from edgemarket.contracts import (
     menu_objective,
     operator_utility,
     optimize_menu,
+    optimize_menus,
     recover_rewards,
     social_welfare,
     user_utility,
@@ -61,6 +63,7 @@ __all__ = [
     "ContractMenu",
     "DomainError",
     "MarketOutcome",
+    "MenuSolve",
     "MixedMatching",
     "OperatorSpec",
     "Scenario",
@@ -88,6 +91,7 @@ __all__ = [
     "menu_objective",
     "operator_utility",
     "optimize_menu",
+    "optimize_menus",
     "project_matching",
     "recover_rewards",
     "run_fixed_point",

@@ -82,7 +82,7 @@ def posted_menus(
     design = np.tile(np.cumsum(full_masses), per_operator)
     masses = np.tile(full_masses, per_operator)
     profiles = profiles_at(scenario, design)
-    return menus_for(scenario, masses, profiles), design, profiles
+    return menus_for(scenario, masses, profiles).menus(), design, profiles
 
 
 def greedy_selection(
@@ -104,6 +104,9 @@ def greedy_selection(
     order = np.argsort(-np.asarray(pop.betas, dtype=float), kind="stable")
     assigned = np.zeros(n_ops)
     out = np.zeros((pop.n_types, n_ops + 1), dtype=int)
+    # (operator, load) -> its violation model, or None where a stage is
+    # overloaded; types that add no traffic meet the same loads again.
+    models: dict[tuple[int, float], ViolationModel | None] = {}
     for n in order:
         traffic = pop.counts[n] * delta
         best_m, best_u = None, None
@@ -111,11 +114,14 @@ def greedy_selection(
             if assigned[m] + traffic > caps[m] + 1e-9:
                 continue
             latency = menus[m].latencies[n]
-            stages = stage_params_for(spec, task, float(assigned[m] + traffic))
-            if all(s.is_stable for s in stages):
-                viol = violation_prob(
-                    ViolationModel.from_stages(stages, cfg.zeta), latency
-                )
+            key = (m, float(assigned[m] + traffic))
+            if key not in models:
+                stages = stage_params_for(spec, task, key[1])
+                models[key] = (ViolationModel.from_stages(stages, cfg.zeta)
+                               if all(s.is_stable for s in stages) else None)
+            model = models[key]
+            if model is not None:
+                viol = violation_prob(model, latency)
             else:
                 viol = 1.0  # an overloaded stage pins the bound, as in a profile
             u = user_utility(latency, menus[m].prices[n], pop.betas[n],
@@ -138,7 +144,8 @@ def redesign_at_assignment(
     a = np.asarray(assignment, dtype=float)
     demand = (counts[:, None] * a[:, 1:] * scenario.task.arrival_rate_per_user).T
     design = np.cumsum(demand, axis=1)
-    return menus_for(scenario, demand, profiles_at(scenario, design)), design
+    menus = menus_for(scenario, demand, profiles_at(scenario, design)).menus()
+    return menus, design
 
 
 def _finish(

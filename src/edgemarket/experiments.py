@@ -138,6 +138,15 @@ def run_sweep(base: Scenario, spec: SweepSpec) -> list[SweepRow]:
     return rows
 
 
+def _mean(values: list[float]) -> float:
+    # Summed left to right from 0.0: builtin sum() compensates float rounding
+    # from Python 3.12 on, which would move the means with the Python version.
+    total = 0.0
+    for x in values:
+        total += x
+    return total / len(values)
+
+
 def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
     """Mean totals per (axis value, method), replicates collapsed."""
     grouped: dict[tuple[str, float, str], list[SweepRow]] = {}
@@ -153,10 +162,10 @@ def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
             "value": value,
             "method": method,
             "replicates": k,
-            "total_operator_utility": sum(r.total_operator_utility for r in group) / k,
-            "social_welfare": sum(r.social_welfare for r in group) / k,
+            "total_operator_utility": _mean([r.total_operator_utility for r in group]),
+            "social_welfare": _mean([r.social_welfare for r in group]),
             "converged_share": sum(1 for r in group if r.converged) / k,
-            "runtime_s": sum(r.runtime_s for r in group) / k,
+            "runtime_s": _mean([r.runtime_s for r in group]),
         })
     return out
 

@@ -17,14 +17,14 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
+    MenuSolve,
     OperatorSpec,
     TaskSpec,
     UserTypePopulation,
-    item_utilities,
+    item_utility_rows,
     menu_objective,
-    menu_profit,
     operator_utility,
-    optimize_menu_with_profile,
+    optimize_menus,
     social_welfare,
     stage_params_for,
     violation_profiles,
@@ -167,14 +167,12 @@ def profiles_at(scenario: Scenario, loads: np.ndarray) -> list[ViolationProfile]
 
 def menus_for(
     scenario: Scenario, masses: np.ndarray, profiles: list[ViolationProfile]
-) -> tuple[ContractMenu, ...]:
-    """Every operator's optimal menu for its row of M x N demand masses."""
-    return tuple(
-        optimize_menu_with_profile(
-            scenario.population, spec, masses[m], profiles[m],
-            scenario.solver.latency_bounds,
-        )
-        for m, spec in enumerate(scenario.operators)
+) -> MenuSolve:
+    """Every operator's optimal menu for its row of M x N demand masses, as
+    arrays; `.menus()` builds the `ContractMenu`s."""
+    return optimize_menus(
+        scenario.population, scenario.operators, masses, profiles,
+        scenario.solver.latency_bounds,
     )
 
 
@@ -297,35 +295,6 @@ def check_floor_feasible(scenario: Scenario) -> None:
                 )
 
 
-def _violations(
-    menus: tuple[ContractMenu, ...], profiles: list[ViolationProfile]
-) -> list[list[float]]:
-    # Per operator: each type's violation bound at its own item's latency.
-    return [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
-
-
-def _utility_matrix(
-    menus: tuple[ContractMenu, ...],
-    violations: list[list[float]],
-    scenario: Scenario,
-) -> np.ndarray:
-    # N x M: type n's utility from its own item at each operator.
-    return np.array([
-        item_utilities(menu, scenario.population, spec, viols)
-        for menu, spec, viols in zip(menus, scenario.operators, violations)
-    ]).T
-
-
-def _menu_residual(
-    old: tuple[ContractMenu, ...], new: tuple[ContractMenu, ...]
-) -> float:
-    return max(
-        abs(a - b)
-        for old_menu, new_menu in zip(old, new)
-        for a, b in zip(old_menu.latencies, new_menu.latencies)
-    )
-
-
 def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOutcome:
     """Anneal the mixed matching against per-iteration menu redesigns.
 
@@ -344,7 +313,8 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     # Initial menus: no-competition design against the demand floor alone.
     floor_loads = np.tile(_floor_congestion(scenario), (n_ops, 1))
     floor_masses = np.tile(cfg.demand_floor * counts * delta, (n_ops, 1))
-    menus = menus_for(scenario, floor_masses, profiles_at(scenario, floor_loads))
+    solve = menus_for(scenario, floor_masses, profiles_at(scenario, floor_loads))
+    latencies = solve.latencies
     matching = MixedMatching.uniform(n_types, n_ops)
     prices = ShadowPrices.zeros(n_ops)
 
@@ -352,12 +322,12 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     trace: list[IterationRecord] = []
     history: list[tuple[tuple[ContractMenu, ...], np.ndarray]] = []
     if keep_history:
-        history.append((menus, floor_loads))
+        history.append((solve.menus(), floor_loads))
 
     converged = False
     iterations = 0
     best_residual = math.inf
-    best_state: tuple = (matching, menus, prices)
+    best_state = (matching, prices)
 
     for k in range(1, cfg.max_iters + 1):
         iterations = k
@@ -366,14 +336,12 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         congestion = cumulative_load(matching, pop, delta)
         masses = demand_mass(matching, pop, delta, cfg.demand_floor)
 
-        profiles = profiles_at(scenario, congestion.loads)
-        new_menus = menus_for(scenario, masses, profiles)
-        menu_res = _menu_residual(menus, new_menus)
+        solve = menus_for(scenario, masses, profiles_at(scenario, congestion.loads))
+        menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
-        # One violation pass per operator serves the utilities and the
-        # trace objective; the prices are the solve's own.
-        viols = _violations(new_menus, profiles)
-        utilities = _utility_matrix(new_menus, viols, scenario)
+        utilities = item_utility_rows(
+            pop, scenario.operators, solve.latencies, solve.prices, solve.violations
+        ).T
         adjusted = utilities - prices.omegas[None, :] * (
             counts[:, None] * delta
         ) / caps[None, :]
@@ -388,32 +356,28 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
             + response.probs.size + new_matching.probs.size + prices.omegas.size
         )
 
-        objectives = tuple(
-            menu_profit(new_menus[m].prices, viols[m], pop, spec, masses[m])
-            for m, spec in enumerate(scenario.operators)
-        )
         trace.append(IterationRecord(
             iteration=k,
             temperature=temperature,
             matching_residual=matching_res,
             menu_residual=menu_res,
             shadow_prices=tuple(float(w) for w in prices.omegas),
-            objectives=objectives,
+            objectives=tuple(solve.profits.tolist()),
         ))
         if keep_history:
-            history.append((new_menus, np.array(congestion.loads)))
+            history.append((solve.menus(), np.array(congestion.loads)))
 
-        menus = new_menus
+        latencies = solve.latencies
         matching = new_matching
         if matching_res < best_residual:
             best_residual = matching_res
-            best_state = (matching, menus, prices)
+            best_state = (matching, prices)
         if matching_res < cfg.matching_tol and menu_res < cfg.menu_tol:
             converged = True
             break
 
     if not converged:
-        matching, menus, prices = best_state
+        matching, prices = best_state
 
     # Final redesign against the converged congestion so the returned menus
     # are each operator's best response to the returned matching.
@@ -421,7 +385,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
     menus = menus_for(
         scenario, final_masses, profiles_at(scenario, final_congestion.loads)
-    )
+    ).menus()
     if keep_history:
         history.append((menus, np.array(final_congestion.loads)))
 
@@ -522,8 +486,13 @@ def verify_selection_equilibrium(
     delta = scenario.task.arrival_rate_per_user
     congestion = cumulative_load(MixedMatching(a), pop, delta)
     profiles = profiles_at(scenario, congestion.loads)
-    viols = _violations(tuple(menus), profiles)
-    utilities = _utility_matrix(tuple(menus), viols, scenario)
+    viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
+    utilities = item_utility_rows(
+        pop, scenario.operators,
+        np.array([menu.latencies for menu in menus]),
+        np.array([menu.prices for menu in menus]),
+        np.array(viols),
+    ).T
 
     regrets = []
     blamed = []  # operator column (1-based) behind each type's regret
@@ -547,7 +516,7 @@ def verify_selection_equilibrium(
             blamed.append(rival)
 
     demand = (np.asarray(pop.counts, dtype=float)[:, None] * a[:, 1:] * delta).T
-    resolved = menus_for(scenario, demand, profiles)
+    resolved = menus_for(scenario, demand, profiles).menus()
     gains, op_utils = [], []
     for m, (spec, profile) in enumerate(zip(scenario.operators, profiles)):
         current = menu_objective(menus[m].latencies, pop, spec, demand[m], profile)
@@ -598,17 +567,22 @@ def evaluate_matching(
     matching = MixedMatching(np.asarray(matching_probs, dtype=float))
     profiles = profiles_at(scenario, cumulative_load(matching, pop, delta).loads)
     loads = np.asarray(pop.counts, dtype=float)[:, None] * matching.probs[:, 1:] * delta
+    viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
     per_op = [
-        operator_utility(menu, loads[:, m], spec, profile.probs(menu.latencies))
-        for m, (menu, spec, profile)
-        in enumerate(zip(menus, scenario.operators, profiles))
+        operator_utility(menu, loads[:, m], spec, viols[m])
+        for m, (menu, spec) in enumerate(zip(menus, scenario.operators))
     ]
     welfare = social_welfare(
-        menus, matching.probs, pop, task, scenario.operators, profiles,
+        menus, matching.probs, pop, task, scenario.operators, viols,
         scenario.solver.opt_out_utility,
     )
+    # Summed left to right from 0.0: builtin sum() compensates rounding from
+    # Python 3.12 on.
+    total = 0.0
+    for utility in per_op:
+        total += utility
     return MatchingMetrics(
-        total_operator_utility=float(sum(per_op)),
+        total_operator_utility=float(total),
         social_welfare=float(welfare),
         per_operator_utility=tuple(float(x) for x in per_op),
     )

@@ -381,7 +381,12 @@ class ViolationModel:
         return cls(stages=tails, eta=eta, zeta=zeta, g_product=g_product)
 
     def mean_total(self) -> float:
-        return sum(s.mean_sojourn() for s in self.stages)
+        # Summed left to right from 0.0: builtin sum() compensates float
+        # rounding from Python 3.12 on.
+        total = 0.0
+        for stage in self.stages:
+            total += stage.mean_sojourn()
+        return total
 
 
 def violation_prob(model: ViolationModel, t: float) -> float:
@@ -440,6 +445,7 @@ class ViolationProfile:
 # Python 3.11, numpy 2.4) it took 110 us against the scalar loop's 81 us at 72
 # lanes (8 types), 124 against 142 us at 144 lanes (16 types) and 432 against
 # 1 130 us at 1 350 lanes (256 types): the paths cross near 120 lanes.
+# `contracts._ARRAY_MIN_ENTRIES` gates the menu solve the same way.
 _ARRAY_MIN_LANES = 128
 
 

@@ -25,15 +25,21 @@ from edgemarket import (
     user_utility,
     violation_profile,
 )
+from edgemarket import contracts
 from edgemarket.contracts import (
     StageResources,
     _block_argmin,
     _latency_terms,
     _term_argmin,
+    _term_argmins,
     _term_value,
+    item_utilities,
+    item_utility_rows,
     menu_from_obj,
+    menu_profit,
     menu_to_obj,
     optimize_menu_with_profile,
+    optimize_menus,
     stage_params_for,
     violation_profiles,
 )
@@ -450,6 +456,100 @@ def test_refund_above_violation_cost_lands_on_bound_or_kink():
         assert x in kinks
 
 
+def _random_market(rng, n_ops, n_types):
+    betas = tuple(np.sort(rng.uniform(1e-5, 5e-4, n_types))[::-1].tolist())
+    counts = tuple(int(c) for c in rng.integers(0, 20, n_types))
+    if not any(counts):
+        counts = (1,) + counts[1:]
+    pop = UserTypePopulation(betas=betas, counts=counts)
+    # Operator 1 refunds at least its violation cost (w <= 0).
+    specs = [
+        OperatorSpec(SPEC.uplink, SPEC.processing, SPEC.downlink,
+                     float(rng.uniform(1.0, 2.0)), SPEC.exec_cost_per_task, 1.2e-3,
+                     float(rng.uniform(1.2e-3, 3e-3)) if m == 1
+                     else float(rng.choice([0.0, 1.2e-4, 6e-4])))
+        for m in range(n_ops)
+    ]
+    profiles = []
+    for _ in range(n_ops):
+        eta = rng.uniform(0.5, 40.0, n_types)
+        g = np.exp(eta * rng.uniform(-0.5, 2.0, n_types))
+        pinned = rng.random(n_types) < 0.2  # eta 0, g 1
+        profiles.append(ViolationProfile(eta=np.where(pinned, 0.0, eta),
+                                         g=np.where(pinned, 1.0, g)))
+    masses = np.asarray(counts, float) * rng.uniform(0.0, 30.0, (n_ops, n_types))
+    masses[0] = 0.0  # no demand: the population-count fallback
+    masses[-1, n_types // 2:] = 0.0  # zero tail mass: a = 0 there
+    return pop, specs, masses, profiles
+
+
+def _assert_equals_per_operator_solve(pop, specs, masses, profiles, bounds):
+    got = optimize_menus(pop, specs, masses, profiles, bounds)
+    utilities = item_utility_rows(pop, specs, got.latencies, got.prices,
+                                  got.violations)
+    for m, (spec, profile) in enumerate(zip(specs, profiles)):
+        menu = optimize_menu_with_profile(pop, spec, masses[m], profile, bounds)
+        viols = profile.probs(menu.latencies)
+        assert got.menus()[m] == menu
+        for row, want in ((got.latencies[m], menu.latencies),
+                          (got.prices[m], menu.prices),
+                          (got.violations[m], viols),
+                          (utilities[m], item_utilities(menu, pop, spec, viols))):
+            assert row.tobytes() == np.array(want).tobytes()
+        want = menu_profit(menu.prices, viols, pop, spec, masses[m])
+        assert got.profits[m].tobytes() == np.float64(want).tobytes()
+    return got
+
+
+@pytest.mark.parametrize("array_min_entries", [0, contracts._ARRAY_MIN_ENTRIES])
+def test_optimize_menus_equals_per_operator_solve_bit_for_bit(
+    monkeypatch, array_min_entries
+):
+    # With the gate at 0 every draw takes the array path; at its own value
+    # the draws fall on both sides of it.
+    monkeypatch.setattr(contracts, "_ARRAY_MIN_ENTRIES", array_min_entries)
+    rng = np.random.default_rng(61)
+    sizes = set()
+    for trial in range(40):
+        n_ops, n_types = int(rng.integers(1, 5)), int(rng.integers(1, 60))
+        sizes.add(n_ops * n_types >= contracts._ARRAY_MIN_ENTRIES)
+        bounds = (LO, float(rng.choice([HI, 0.5, 0.05])))
+        _assert_equals_per_operator_solve(
+            *_random_market(rng, n_ops, n_types), bounds
+        )
+    assert sizes == ({True} if array_min_entries == 0 else {True, False})
+    # One row whose per-type minimisers fall type by type pools into one block.
+    n = 6
+    pop = UserTypePopulation(betas=tuple(np.linspace(0.2, 0.1, n).tolist()),
+                             counts=(5,) * n)
+    spec = OperatorSpec(SPEC.uplink, SPEC.processing, SPEC.downlink,
+                        5.0, 0.1, 2.0, 0.5)
+    profile = ViolationProfile(eta=np.full(n, 4.0), g=np.geomspace(1e4, 2.0, n))
+    got = _assert_equals_per_operator_solve(
+        pop, [spec, SPEC], np.full((2, n), 5.0), [profile, profile], (LO, HI)
+    )
+    assert len(set(got.menus()[0].latencies)) == 1 and got.latencies[0, 0] > LO
+
+
+def test_term_argmins_equal_the_scalar_closed_form():
+    # Every branch of `_term_argmin`: flat, pinned, w <= 0, a = 0, the kink
+    # past hi, and interior, kink and bound minimisers; then random terms.
+    terms = [(0.0, 0.0, 3.0, 2.0), (0.0, 0.0, 0.0, 1.0), (0.0, 3.0, 1.0, 5e8),
+             (0.7, 5.0, 0.0, 1.0), (0.4, -4.0, 3.0, 2.0), (0.0, 3.0, 2.0, 0.5),
+             (0.0, 3.0, 2.0, 5.0), (1e-3, 0.5, 1e9, 2.0), (5.0, 1.0, 2.0, 3.0),
+             (1e-4, 1.0, 2.0, 3.0), (1e-4, 1.0, 0.5, 1e3)]
+    rng = np.random.default_rng(67)
+    eta = rng.uniform(0.0, 40.0, 200)
+    terms += zip(rng.uniform(0.0, 1e-2, 200).tolist(),
+                 rng.uniform(-1.0, 1.0, 200).tolist(), eta.tolist(),
+                 np.exp(eta * rng.uniform(-0.5, 2.0, 200)).tolist())
+    a, w, eta, g = (np.array(column) for column in zip(*terms))
+    for hi in (HI, 0.05):
+        got = _term_argmins(a, w, eta, g, LO, hi)
+        want = [_term_argmin(term, LO, hi) for term in terms]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 def test_latency_bounds_must_be_ordered():
     pop = make_population(2, counts=(10, 12))
     profile, _ = make_profile(pop)
@@ -498,18 +598,25 @@ def make_market(pop, n_ops=1):
     return specs, menus, profiles
 
 
+def _violations(menus, profiles):
+    # Each operator's bounds at its own items, as `social_welfare` reads them.
+    return [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
+
+
 def test_social_welfare_all_opt_out_is_zero():
     pop = make_population(2, counts=(10, 12))
     specs, menus, profiles = make_market(pop)
     matching = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert social_welfare(menus, matching, pop, TASK, specs, profiles) == 0.0
+    viols = _violations(menus, profiles)
+    assert social_welfare(menus, matching, pop, TASK, specs, viols) == 0.0
 
 
 def test_social_welfare_single_operator_definition():
     pop = make_population(2, counts=(10, 12))
     specs, menus, profiles = make_market(pop)
     matching = np.array([[0.0, 1.0], [0.0, 1.0]])
-    got = social_welfare(menus, matching, pop, TASK, specs, profiles)
+    got = social_welfare(menus, matching, pop, TASK, specs,
+                         _violations(menus, profiles))
     profile = profiles[0]
     loads = np.asarray(pop.counts, float) * 24.0
     viols = [profile.prob(n, menus[0].latencies[n]) for n in range(2)]
@@ -527,12 +634,14 @@ def test_social_welfare_price_transfers_cancel():
     pop = make_population(2, counts=(10, 12))
     specs, menus, profiles = make_market(pop)
     matching = np.array([[0.0, 1.0], [0.4, 0.6]])
-    base = social_welfare(menus, matching, pop, TASK, specs, profiles)
+    # Bumping prices leaves the latencies, so the violations, as they are.
+    viols = _violations(menus, profiles)
+    base = social_welfare(menus, matching, pop, TASK, specs, viols)
     bumped = tuple(
         ContractMenu(m.latencies, tuple(p + 0.05 for p in m.prices))
         for m in menus
     )
-    shifted = social_welfare(bumped, matching, pop, TASK, specs, profiles)
+    shifted = social_welfare(bumped, matching, pop, TASK, specs, viols)
     assert shifted == pytest.approx(base, abs=1e-9)
 
 
@@ -540,10 +649,10 @@ def test_social_welfare_dimension_mismatch():
     pop = make_population(2, counts=(10, 12))
     specs, menus, profiles = make_market(pop)
     matching = np.ones((2, 2)) / 2.0
-    short = [ViolationProfile(eta=profiles[0].eta[:1], g=profiles[0].g[:1])]
+    viols = _violations(menus, profiles)
     with pytest.raises(DomainError):
-        social_welfare(menus, matching, pop, TASK, specs, short)
+        social_welfare(menus, matching, pop, TASK, specs, [viols[0][:1]])
     with pytest.raises(DomainError):
         social_welfare(menus, matching, pop, TASK, specs, [])
     with pytest.raises(DomainError):
-        social_welfare(menus, np.ones((2, 3)) / 3.0, pop, TASK, specs, profiles)
+        social_welfare(menus, np.ones((2, 3)) / 3.0, pop, TASK, specs, viols)
