@@ -13,7 +13,6 @@ from edgemarket.contracts import (
     StageResources,
     TaskSpec,
     UserTypePopulation,
-    check_feasibility,
     check_ic_ir,
     menu_grid_gap,
     menu_objective,
@@ -78,7 +77,6 @@ __all__ = [
     "ViolationProfile",
     "bound_dominance_margin",
     "capacities",
-    "check_feasibility",
     "check_ic_ir",
     "chernoff_eta",
     "chernoff_g",

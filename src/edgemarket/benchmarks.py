@@ -19,7 +19,8 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
-    item_utilities,
+    MenuSolve,
+    item_utility_rows,
     menu_from_obj,
     menu_to_obj,
     stage_params_for,
@@ -70,11 +71,11 @@ class BenchmarkResult:
 
 def posted_menus(
     scenario: Scenario,
-) -> tuple[tuple[ContractMenu, ...], np.ndarray, list[ViolationProfile]]:
+) -> tuple[MenuSolve, np.ndarray, list[ViolationProfile]]:
     """No-competition menus: each operator designs as if it served everyone.
 
-    Returns the menus, the M x N design loads and each operator's violation
-    profile at those loads.
+    Returns the posted menus as a `MenuSolve` (`.menus()` builds them), the
+    M x N design loads and each operator's violation profile at those loads.
     """
     full_masses = (np.asarray(scenario.population.counts, dtype=float)
                    * scenario.task.arrival_rate_per_user)
@@ -82,7 +83,7 @@ def posted_menus(
     design = np.tile(np.cumsum(full_masses), per_operator)
     masses = np.tile(full_masses, per_operator)
     profiles = profiles_at(scenario, design)
-    return menus_for(scenario, masses, profiles).menus(), design, profiles
+    return menus_for(scenario, masses, profiles), design, profiles
 
 
 def greedy_selection(
@@ -90,10 +91,12 @@ def greedy_selection(
 ) -> np.ndarray:
     """One deterministic pass in priority order over posted menus.
 
-    Each type joins the operator giving it the highest utility at the
-    congestion it would actually experience (higher-priority traffic already
-    placed plus its own), skipping operators it would overload; it opts out
-    only when every affordable operator falls below the opt-out utility.
+    Priority order is the type index, since `UserTypePopulation` keeps the
+    latency sensitivities nonincreasing. Each type joins the operator giving
+    it the highest utility at the congestion it would actually experience
+    (higher-priority traffic already placed plus its own), skipping operators
+    it would overload; it opts out only when every affordable operator falls
+    below the opt-out utility.
     """
     pop = scenario.population
     task = scenario.task
@@ -101,13 +104,12 @@ def greedy_selection(
     delta = task.arrival_rate_per_user
     n_ops = len(scenario.operators)
     caps = capacities(scenario)
-    order = np.argsort(-np.asarray(pop.betas, dtype=float), kind="stable")
     assigned = np.zeros(n_ops)
     out = np.zeros((pop.n_types, n_ops + 1), dtype=int)
     # (operator, load) -> its violation model, or None where a stage is
     # overloaded; types that add no traffic meet the same loads again.
     models: dict[tuple[int, float], ViolationModel | None] = {}
-    for n in order:
+    for n in range(pop.n_types):
         traffic = pop.counts[n] * delta
         best_m, best_u = None, None
         for m, spec in enumerate(scenario.operators):
@@ -171,14 +173,14 @@ def _finish(
 
 
 def run_ct(scenario: Scenario) -> BenchmarkResult:
-    menus, design, _ = posted_menus(scenario)
+    posted, design, _ = posted_menus(scenario)
+    menus = posted.menus()
     assignment = greedy_selection(scenario, menus)
     return _finish("CT", scenario, assignment, menus, design)
 
 
 def run_mc(scenario: Scenario) -> BenchmarkResult:
-    menus, _, _ = posted_menus(scenario)
-    assignment = greedy_selection(scenario, menus)
+    assignment = greedy_selection(scenario, posted_menus(scenario)[0].menus())
     new_menus, design = redesign_at_assignment(scenario, assignment)
     return _finish("MC", scenario, assignment, new_menus, design)
 
@@ -188,21 +190,19 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     pop = scenario.population
     cfg = scenario.solver
     delta = scenario.task.arrival_rate_per_user
-    n_ops = len(scenario.operators)
-    menus, _, profiles = posted_menus(scenario)
+    specs = scenario.operators
+    n_ops = len(specs)
+    posted = posted_menus(scenario)[0]
 
     # Preferences from the posted menus at their design congestion.
-    utilities = np.zeros((pop.n_types, n_ops))
-    margins = np.zeros((n_ops, pop.n_types))
-    traffic = np.asarray(pop.counts, dtype=float) * delta
-    for m, (menu, spec, profile) in enumerate(
-        zip(menus, scenario.operators, profiles)
-    ):
-        viols = profile.probs(menu.latencies)
-        utilities[:, m] = item_utilities(menu, pop, spec, viols)
-        margins[m] = traffic * (np.array(menu.prices)
-                                - spec.violation_cost * np.array(viols)
-                                - spec.exec_cost_per_task)
+    utilities = item_utility_rows(
+        pop, specs, posted.latencies, posted.prices, posted.violations
+    ).T
+    cost = np.array([spec.violation_cost for spec in specs])
+    exec_cost = np.array([spec.exec_cost_per_task for spec in specs])
+    margins = (np.asarray(pop.counts, dtype=float) * delta
+               * (posted.prices - cost[:, None] * posted.violations
+                  - exec_cost[:, None]))
 
     # Quantize before ranking so summation noise cannot scramble ties.
     utilities = np.round(utilities / _TIE_TOL) * _TIE_TOL
@@ -221,6 +221,7 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
 
     quotas = [int(cap // delta) for cap in capacities(scenario)]
     holds: list[set[int]] = [set() for _ in range(n_ops)]
+    held = [0] * n_ops  # users each operator holds, kept as holds change
     next_choice = [0] * pop.n_types
     free = list(range(pop.n_types))
     while free:
@@ -230,9 +231,11 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
         m = type_prefs[n][next_choice[n]]
         next_choice[n] += 1
         holds[m].add(n)
-        while sum(pop.counts[j] for j in holds[m]) > quotas[m]:
+        held[m] += pop.counts[n]
+        while held[m] > quotas[m]:
             worst = max(holds[m], key=lambda j: op_rank[m][j])
             holds[m].discard(worst)
+            held[m] -= pop.counts[worst]
             free.append(worst)
 
     assignment = np.zeros((pop.n_types, n_ops + 1), dtype=int)

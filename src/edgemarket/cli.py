@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -37,7 +38,8 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_json(path: Path, obj) -> None:
-    _write_text(path, json.dumps(obj, indent=2) + "\n")
+    # allow_nan=False: NaN and Infinity are not JSON, so they never reach a file.
+    _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
 
 
 def _matching_csv(probs: np.ndarray) -> str:
@@ -82,6 +84,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     mixed = market.evaluate_matching(outcome.matching.probs, outcome.menus, scenario)
     projected = market.evaluate_matching(assignment, outcome.menus, scenario)
     report = market.verify_selection_equilibrium(assignment, outcome.menus, scenario)
+    # An operator that serves nobody but could gain has an infinite ratio,
+    # which JSON has no number for: it is written as null.
+    gain_ratio = float(report.max_gain_ratio)
+    if not math.isfinite(gain_ratio):
+        gain_ratio = None
 
     _write_json(out / "menus.json",
                 {"menus": [menu_to_obj(menu) for menu in outcome.menus]})
@@ -105,7 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "social_welfare": projected.social_welfare,
             "per_operator_utility": list(projected.per_operator_utility),
             "max_user_regret": float(report.max_regret),
-            "max_operator_gain_ratio": float(report.max_gain_ratio),
+            "max_operator_gain_ratio": gain_ratio,
         },
     })
     if not outcome.converged:
@@ -179,9 +186,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
-    menus, _, profiles = benchmarks.posted_menus(scenario)
+    posted, _, profiles = benchmarks.posted_menus(scenario)
     worst = np.inf
-    for menu, spec, profile in zip(menus, scenario.operators, profiles):
+    for menu, spec, profile in zip(posted.menus(), scenario.operators, profiles):
         report = check_ic_ir(menu, scenario.population, spec.quality,
                              spec.refund, profile)
         worst = min(worst, report.ic_slack, report.ir_slack)

@@ -20,8 +20,16 @@ market's M operators together and returns the M x N latencies, prices and
 violations and each operator's profit. From _ARRAY_MIN_ENTRIES operator-type
 entries on, it runs the closed forms, the pooling, the price recovery and the
 profits over arrays, with the same float operations in the same order, so it
-returns the per-operator floats bit for bit. `item_utility_rows` reads the
-types' utilities from such arrays.
+returns the per-operator floats bit for bit.
+
+Two utility matrices answer the two questions asked of posted menus.
+`_utility_matrix` is one menu's N x N table u[n][j], type n's utility from
+item j, and answers the screening question: does every type prefer its own
+item and participate? `check_ic_ir` reads all of it. `item_utility_rows` is
+the market's M x N table of each type's utility from its own item at each
+operator, and answers the selection question: which operator does a type
+prefer? The fixed point, the equilibrium audit, GSMC's preferences and
+`social_welfare` read it.
 """
 
 from __future__ import annotations
@@ -260,22 +268,6 @@ def user_utility(
     return alpha_worst * quality - beta * latency - price + refund * violation
 
 
-def item_utilities(
-    menu: ContractMenu,
-    population: UserTypePopulation,
-    spec: OperatorSpec,
-    violations: Sequence[float],
-) -> list[float]:
-    """Type n's utility from item n, at violations[n], the violation bound of
-    n's priority class at item n's latency."""
-    return [
-        user_utility(lat, price, beta, population.alpha_worst, spec.quality, viol,
-                     spec.refund)
-        for lat, price, beta, viol
-        in zip(menu.latencies, menu.prices, population.betas, violations)
-    ]
-
-
 def item_utility_rows(
     population: UserTypePopulation,
     specs: Sequence[OperatorSpec],
@@ -283,8 +275,9 @@ def item_utility_rows(
     prices: np.ndarray,
     violations: np.ndarray,
 ) -> np.ndarray:
-    """`item_utilities` for every operator at once: row m of the M x N
-    latencies, prices and violations is operator m's menu, and row m of the
+    """Each type's utility from its own item at every operator: row m of the
+    M x N latencies, prices and violations is operator m's menu (violations[m][n]
+    the bound of type n's priority class at item n's latency), and row m of the
     result its types' utilities, in `user_utility`'s float operations."""
     worth = np.array([population.alpha_worst * spec.quality for spec in specs])
     refund = np.array([spec.refund for spec in specs])
@@ -359,70 +352,36 @@ def _utility_matrix(
     ]
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Slack of each sufficient feasibility condition (negative = violated)."""
-
-    monotone_slack: float
-    ir_worst_slack: float
-    ic_down_slack: float
-    ic_up_slack: float
-    tol: float = 1e-9
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            s >= -self.tol
-            for s in (self.monotone_slack, self.ir_worst_slack,
-                      self.ic_down_slack, self.ic_up_slack)
-        )
-
-
-def check_feasibility(
-    menu: ContractMenu,
-    population: UserTypePopulation,
-    quality: float,
-    refund: float,
-    profile: ViolationProfile,
-) -> FeasibilityReport:
-    """Sufficient conditions: monotone latencies, participation of the most
-    latency-sensitive type, and both adjacent incentive directions."""
-    if len(menu.latencies) != population.n_types:
-        raise DomainError("menu length must match the number of types")
-    _check_profile(profile, population.n_types)
-    u = _utility_matrix(menu, population, quality, refund, profile)
-    n_types = population.n_types
-    lats = menu.latencies
-    monotone = min(
-        (lats[n + 1] - lats[n] for n in range(n_types - 1)), default=0.0
-    )
-    ic_down = min(
-        (u[n][n] - u[n][n - 1] for n in range(1, n_types)), default=0.0
-    )
-    ic_up = min(
-        (u[n][n] - u[n][n + 1] for n in range(n_types - 1)), default=0.0
-    )
-    return FeasibilityReport(
-        monotone_slack=monotone,
-        ir_worst_slack=u[0][0],
-        ic_down_slack=ic_down,
-        ic_up_slack=ic_up,
-    )
+# Slack below -SCREENING_TOL is a violated constraint.
+SCREENING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class ScreeningReport:
-    """Worst incentive and participation slack over the whole menu."""
+    """A menu's incentive (IC) and participation (IR) slack, negative where a
+    constraint is violated.
+
+    ic_slack and ir_slack are the worst over all N(N-1) incentive pairs and N
+    participation constraints; `passed` reads only these two. The rest are the
+    sufficient conditions of the textbook screening solution: monotone_slack,
+    the smallest step between adjacent latencies; ir_first_slack, type 1's
+    utility from its own item, which price recovery binds at 0; and
+    ic_down_slack and ic_up_slack, the worst adjacent incentive constraints
+    toward item n - 1 (which recovery binds at 0) and item n + 1.
+    """
 
     ic_slack: float
     ic_pair: tuple[int, int] | None  # (type, item) achieving the worst slack
     ir_slack: float
     ir_type: int
-    tol: float = 1e-9
+    monotone_slack: float
+    ir_first_slack: float
+    ic_down_slack: float
+    ic_up_slack: float
 
     @property
     def passed(self) -> bool:
-        return self.ic_slack >= -self.tol and self.ir_slack >= -self.tol
+        return self.ic_slack >= -SCREENING_TOL and self.ir_slack >= -SCREENING_TOL
 
 
 def check_ic_ir(
@@ -432,8 +391,8 @@ def check_ic_ir(
     refund: float,
     profile: ViolationProfile,
 ) -> ScreeningReport:
-    """Exhaustive check over all N(N-1) incentive pairs and N participation
-    constraints."""
+    """Every incentive and participation slack of one menu, read off one
+    `_utility_matrix`."""
     if len(menu.latencies) != population.n_types:
         raise DomainError("menu length must match the number of types")
     _check_profile(profile, population.n_types)
@@ -450,8 +409,22 @@ def check_ic_ir(
     if n_types == 1:
         ic_slack = 0.0
     ir_slack, ir_type = min((u[n][n], n) for n in range(n_types))
+    lats = menu.latencies
     return ScreeningReport(
-        ic_slack=ic_slack, ic_pair=ic_pair, ir_slack=ir_slack, ir_type=ir_type
+        ic_slack=ic_slack,
+        ic_pair=ic_pair,
+        ir_slack=ir_slack,
+        ir_type=ir_type,
+        monotone_slack=min(
+            (lats[n + 1] - lats[n] for n in range(n_types - 1)), default=0.0
+        ),
+        ir_first_slack=u[0][0],
+        ic_down_slack=min(
+            (u[n][n] - u[n][n - 1] for n in range(1, n_types)), default=0.0
+        ),
+        ic_up_slack=min(
+            (u[n][n] - u[n][n + 1] for n in range(n_types - 1)), default=0.0
+        ),
     )
 
 
@@ -933,19 +906,27 @@ def social_welfare(
         raise DomainError(
             f"matching must be {(n_types, len(menus) + 1)}, got {z.shape}"
         )
-    if len(violations) != len(menus):
+    if not len(specs) == len(violations) == len(menus):
         raise DomainError(
-            f"violations must have {len(menus)} rows, got {len(violations)}"
+            f"specs and violations must have {len(menus)} rows, got "
+            f"{len(specs)} and {len(violations)}"
         )
-    total = 0.0
-    for m, (menu, spec, viols) in enumerate(zip(menus, specs, violations)):
+    for viols in violations:
         if len(viols) != n_types:
             raise DomainError(
                 f"violations must have {n_types} entries per row, got {len(viols)}"
             )
+    utilities = item_utility_rows(
+        population, specs,
+        np.array([menu.latencies for menu in menus]),
+        np.array([menu.prices for menu in menus]),
+        np.array(violations, dtype=float),
+    ).tolist()
+    total = 0.0
+    for m, (menu, spec, viols) in enumerate(zip(menus, specs, violations)):
         loads = [population.counts[n] * z[n, m + 1] * delta for n in range(n_types)]
         total += operator_utility(menu, loads, spec, viols)
-        for load, u in zip(loads, item_utilities(menu, population, spec, viols)):
+        for load, u in zip(loads, utilities[m]):
             total += load * u
     for n in range(n_types):
         total += population.counts[n] * z[n, 0] * delta * opt_out_utility

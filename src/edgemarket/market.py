@@ -126,7 +126,6 @@ class MarketOutcome:
     matching: MixedMatching
     shadow_prices: ShadowPrices
     congestion: CongestionVector       # cumulative loads under the final matching
-    demand_masses: np.ndarray          # M x N design demand under the final matching
     converged: bool
     iterations: int
     trace: tuple[IterationRecord, ...]
@@ -394,7 +393,6 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         matching=matching,
         shadow_prices=prices,
         congestion=final_congestion,
-        demand_masses=final_masses,
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),
@@ -415,8 +413,9 @@ def project_matching(
 ) -> np.ndarray:
     """Round the mixed matching to a capacity-feasible 0/1 assignment.
 
-    Types are processed in priority order (descending latency sensitivity);
-    each takes its highest-probability option that still fits, preferring
+    Types are processed in priority order, which is the type index since
+    `UserTypePopulation` keeps the latency sensitivities nonincreasing; each
+    takes its highest-probability option that still fits, preferring
     lower operator indices on ties and opting out only after operators.
     """
     caps = np.asarray(capacities, dtype=float)
@@ -431,12 +430,9 @@ def project_matching(
             f"{population.n_types} types"
         )
     n_types, n_ops = matching.n_types, matching.n_operators
-    order = np.argsort(
-        -np.asarray(population.betas, dtype=float), kind="stable"
-    )
     assigned = np.zeros(n_ops)
     out = np.zeros((n_types, n_ops + 1), dtype=int)
-    for n in order:
+    for n in range(n_types):
         row = matching.probs[n]
         # opt-out ranks after every operator when probabilities tie
         candidates = sorted(
@@ -464,9 +460,7 @@ class EquilibriumReport:
     regrets: tuple[float, ...]          # per type; 0 for opted-out types
     max_regret: float
     worst_pair: tuple[int, int] | None  # 1-based (type, operator) of max regret
-    best_response_gains: tuple[float, ...]   # objective gain per operator
-    operator_utilities: tuple[float, ...]
-    max_gain_ratio: float               # gain relative to |operator utility|
+    max_gain_ratio: float               # best-response gain / |operator utility|
 
 
 def verify_selection_equilibrium(
@@ -537,8 +531,6 @@ def verify_selection_equilibrium(
         regrets=tuple(regrets),
         max_regret=max_regret,
         worst_pair=worst_pair,
-        best_response_gains=tuple(gains),
-        operator_utilities=tuple(op_utils),
         max_gain_ratio=max(gain_ratios) if gain_ratios else 0.0,
     )
 

@@ -8,7 +8,6 @@ import pytest
 
 from edgemarket import (
     bound_dominance_margin,
-    check_feasibility,
     check_ic_ir,
     default_scenario,
     menu_grid_gap,
@@ -57,9 +56,9 @@ def test_criterion_2_every_menu_is_ic_ir():
         small, np.cumsum(masses),
     ))
 
-    menus, design, _ = posted_menus(scn)
-    for m, spec in enumerate(scn.operators):
-        produced.append((f"posted-op{m + 1}", spec, menus[m], pop, design[m]))
+    posted, design, _ = posted_menus(scn)
+    for m, (spec, menu) in enumerate(zip(scn.operators, posted.menus())):
+        produced.append((f"posted-op{m + 1}", spec, menu, pop, design[m]))
 
     outcome = run_fixed_point(scn, keep_history=True)
     for k, (snap_menus, snap_congestion) in enumerate(outcome.history):
@@ -81,13 +80,12 @@ def test_criterion_2_every_menu_is_ic_ir():
     worst_bind = 0.0
     for label, spec, menu, menu_pop, congestion in produced:
         profile = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
-        full = check_ic_ir(menu, menu_pop, spec.quality, spec.refund, profile)
-        worst_slack = min(worst_slack, full.ic_slack, full.ir_slack)
-        rep = check_feasibility(menu, menu_pop, spec.quality, spec.refund, profile)
-        worst_bind = max(worst_bind, abs(rep.ir_worst_slack))
+        rep = check_ic_ir(menu, menu_pop, spec.quality, spec.refund, profile)
+        worst_slack = min(worst_slack, rep.ic_slack, rep.ir_slack)
+        worst_bind = max(worst_bind, abs(rep.ir_first_slack))
         if menu_pop.n_types > 1:
             worst_bind = max(worst_bind, abs(rep.ic_down_slack))
-        assert full.passed, (label, full)
+        assert rep.passed, (label, rep)
     ok = worst_slack >= -1e-9 and worst_bind <= 1e-12
     _verdict(2, "screening-correctness",
              ok, f"{len(produced)} menus audited; worst IC/IR slack "

@@ -14,7 +14,7 @@ from edgemarket import (
     StageResources,
     TaskSpec,
     UserTypePopulation,
-    check_feasibility,
+    check_ic_ir,
     default_scenario,
     effective_capacity,
     menu_objective,
@@ -31,6 +31,7 @@ from edgemarket.benchmarks import (
     run_method,
     run_ours,
 )
+from edgemarket.contracts import SCREENING_TOL
 from edgemarket.market import evaluate_matching
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
@@ -63,7 +64,8 @@ def single_op_scenario(counts=(5,)):
 
 def test_posted_menu_is_the_standalone_full_market_solve():
     scn = single_op_scenario((5, 8))
-    menus, design, profiles = posted_menus(scn)
+    posted, design, profiles = posted_menus(scn)
+    menus = posted.menus()
     masses = np.asarray(scn.population.counts, float) * 24.0
     standalone = optimize_menu(scn.population, SPEC, TASK, masses,
                                np.cumsum(masses))
@@ -106,9 +108,11 @@ def test_all_menus_are_feasible_at_design_congestion(default_results):
             profile = violation_profile(spec, scn.task,
                                         result.design_congestion[m],
                                         scn.solver.zeta)
-            rep = check_feasibility(result.menus[m], scn.population,
-                                    spec.quality, spec.refund, profile)
+            rep = check_ic_ir(result.menus[m], scn.population,
+                              spec.quality, spec.refund, profile)
             assert rep.passed, f"{result.name} operator {m + 1}: {rep}"
+            assert min(rep.monotone_slack, rep.ir_first_slack, rep.ic_down_slack,
+                       rep.ic_up_slack) >= -SCREENING_TOL, rep
 
 
 def test_ct_default_assignment_pattern(default_results):
@@ -164,13 +168,32 @@ def test_gsmc_ample_capacity_gives_first_choices():
     assert result.assignment[:, 1].tolist() == [1, 1]
 
 
+def test_gsmc_rejects_oversized_types_and_displaces_lower_ranked_ones():
+    scn = Scenario(
+        task=TASK,
+        operators=(SPEC, SPEC),
+        population=UserTypePopulation(betas=(3e-4, 2e-4, 1e-4),
+                                      counts=(100, 30, 70)),
+        solver=SolverConfig(),
+    )
+    quota = effective_capacity(SPEC, TASK, scn.solver.safety) // TASK.arrival_rate_per_user
+    assert quota == 95  # users, at each of the two identical operators
+    result = run_method(scn, "GSMC")
+    # Type 1's 100 users exceed both quotas: rejected twice, it opts out.
+    # Types 2 and 3 both rank operator 1 first (identical menus, ties to the
+    # lower index); together they exceed its quota, so type 3, ranked higher
+    # by operator 1, displaces type 2, which moves on to operator 2.
+    assert result.assignment.tolist() == [[1, 0, 0], [0, 0, 1], [0, 1, 0]]
+
+
 def test_gsmc_has_no_blocking_pair(default_results):
     scn, results = default_results
     result = results["GSMC"]
     pop = scn.population
     delta = scn.task.arrival_rate_per_user
     n_ops = len(scn.operators)
-    menus, design0, _ = posted_menus(scn)
+    posted, design0, _ = posted_menus(scn)
+    menus = posted.menus()
 
     utilities = np.zeros((pop.n_types, n_ops))
     margins = np.zeros((n_ops, pop.n_types))

@@ -59,6 +59,22 @@ def test_solve_without_convergence_exits_2_with_all_outputs(tmp_path, capsys):
     assert json.loads(read(out / "metrics.json"))["converged"] is False
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def test_solve_writes_strict_json_when_an_idle_operator_could_gain(tmp_path):
+    # At 600 users an operator the projection leaves idle could still gain,
+    # so its best-response gain ratio is infinite; JSON writes it as null.
+    out = tmp_path / "solve"
+    assert main(["solve", "--out", str(out),
+                 "--set", "population.total_users=600"]) == 2
+    for name in ("menus.json", "assignment.json", "metrics.json"):
+        json.loads(read(out / name), parse_constant=_reject_constant)
+    metrics = json.loads(read(out / "metrics.json"))
+    assert metrics["projected"]["max_operator_gain_ratio"] is None
+
+
 def test_solve_rejects_bad_override(tmp_path, capsys):
     code = main(["solve", "--out", str(tmp_path / "x"),
                  "--set", "solver.zeta=1.5"])

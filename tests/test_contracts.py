@@ -1,4 +1,4 @@
-"""Contract menus: utilities, reward recovery, feasibility checks, the menu
+"""Contract menus: utilities, reward recovery, the screening check, the menu
 optimizer against brute-force oracles, and welfare accounting."""
 
 import math
@@ -14,7 +14,6 @@ from edgemarket import (
     TaskSpec,
     UserTypePopulation,
     ViolationProfile,
-    check_feasibility,
     check_ic_ir,
     menu_grid_gap,
     menu_objective,
@@ -27,13 +26,13 @@ from edgemarket import (
 )
 from edgemarket import contracts
 from edgemarket.contracts import (
+    SCREENING_TOL,
     StageResources,
     _block_argmin,
     _latency_terms,
     _term_argmin,
     _term_argmins,
     _term_value,
-    item_utilities,
     item_utility_rows,
     menu_from_obj,
     menu_profit,
@@ -208,26 +207,30 @@ def test_recovery_binds_adjacent_constraints():
         lats = np.sort(rng.uniform(0.05, 2.0, 3))
         prices = recover_rewards(lats, pop, SPEC.quality, SPEC.refund, profile)
         menu = ContractMenu(tuple(lats), tuple(prices))
-        rep = check_feasibility(menu, pop, SPEC.quality, SPEC.refund, profile)
-        assert abs(rep.ir_worst_slack) <= 1e-12
+        rep = check_ic_ir(menu, pop, SPEC.quality, SPEC.refund, profile)
+        assert abs(rep.ir_first_slack) <= 1e-12
         assert abs(rep.ic_down_slack) <= 1e-12
         assert rep.passed
+        assert min(rep.monotone_slack, rep.ic_up_slack) >= -SCREENING_TOL
 
 
-def test_check_feasibility_flags_constructed_violations():
+def test_check_ic_ir_flags_constructed_violations():
     pop = make_population(2, counts=(10, 12))
     profile, _ = make_profile(pop)
     prices = recover_rewards([0.2, 0.6], pop, SPEC.quality, SPEC.refund, profile)
     good = ContractMenu((0.2, 0.6), tuple(prices))
-    assert check_feasibility(good, pop, SPEC.quality, SPEC.refund, profile).passed
+    rep = check_ic_ir(good, pop, SPEC.quality, SPEC.refund, profile)
+    assert rep.passed
+    assert min(rep.monotone_slack, rep.ir_first_slack, rep.ic_down_slack,
+               rep.ic_up_slack) >= -SCREENING_TOL
 
     swapped = ContractMenu((0.6, 0.2), tuple(prices))
-    rep = check_feasibility(swapped, pop, SPEC.quality, SPEC.refund, profile)
+    rep = check_ic_ir(swapped, pop, SPEC.quality, SPEC.refund, profile)
     assert rep.monotone_slack < 0 and not rep.passed
 
     greedy = ContractMenu(good.latencies, (prices[0] + 1.0, good.prices[1]))
-    rep = check_feasibility(greedy, pop, SPEC.quality, SPEC.refund, profile)
-    assert rep.ir_worst_slack < 0 and not rep.passed
+    rep = check_ic_ir(greedy, pop, SPEC.quality, SPEC.refund, profile)
+    assert rep.ir_first_slack < 0 and not rep.passed
 
 
 def test_check_ic_ir_full_scan():
@@ -494,7 +497,11 @@ def _assert_equals_per_operator_solve(pop, specs, masses, profiles, bounds):
         for row, want in ((got.latencies[m], menu.latencies),
                           (got.prices[m], menu.prices),
                           (got.violations[m], viols),
-                          (utilities[m], item_utilities(menu, pop, spec, viols))):
+                          (utilities[m],
+                           [user_utility(lat, price, beta, pop.alpha_worst,
+                                         spec.quality, viol, spec.refund)
+                            for lat, price, beta, viol in zip(
+                                menu.latencies, menu.prices, pop.betas, viols)])):
             assert row.tobytes() == np.array(want).tobytes()
         want = menu_profit(menu.prices, viols, pop, spec, masses[m])
         assert got.profits[m].tobytes() == np.float64(want).tobytes()
@@ -654,5 +661,7 @@ def test_social_welfare_dimension_mismatch():
         social_welfare(menus, matching, pop, TASK, specs, [viols[0][:1]])
     with pytest.raises(DomainError):
         social_welfare(menus, matching, pop, TASK, specs, [])
+    with pytest.raises(DomainError):
+        social_welfare(menus, matching, pop, TASK, specs * 2, viols)
     with pytest.raises(DomainError):
         social_welfare(menus, np.ones((2, 3)) / 3.0, pop, TASK, specs, viols)

@@ -209,9 +209,10 @@ def test_single_operator_degenerates_quickly():
     assert outcome.iterations <= 5
     # The returned menus are the best response to the returned matching:
     # designed at the realized congestion with floor-adjusted demand masses.
+    masses = demand_mass(outcome.matching, scn.population,
+                         TASK.arrival_rate_per_user, scn.solver.demand_floor)
     standalone = optimize_menu(
-        scn.population, SPEC, TASK, outcome.demand_masses[0],
-        outcome.congestion.loads[0],
+        scn.population, SPEC, TASK, masses[0], outcome.congestion.loads[0],
     )
     assert outcome.menus[0].latencies == pytest.approx(
         standalone.latencies, rel=1e-9
