@@ -44,6 +44,7 @@ import numpy as np
 from edgemarket.errors import DomainError
 from edgemarket.queueing import (
     StageParams,
+    StageTable,
     ViolationProfile,
     build_profiles,
     stage_rate,
@@ -212,6 +213,16 @@ def stage_params_for(
     )
 
 
+def stage_table(specs: Sequence[OperatorSpec], task: TaskSpec) -> StageTable:
+    """Every operator's uplink, processing and downlink stages as one checked
+    `StageTable`, for any number of `violation_profiles` builds."""
+    stages = [stage_params_for(spec, task, 0.0) for spec in specs]
+    return StageTable(
+        [[s.servers for s in row] for row in stages],
+        [[s.unit_rate for s in row] for row in stages],
+    )
+
+
 def violation_profiles(
     specs: Sequence[OperatorSpec],
     task: TaskSpec,
@@ -224,13 +235,7 @@ def violation_profiles(
     Types whose load leaves any stage unstable are pinned at 1, so downstream
     solves and selections can still evaluate an overloaded operator.
     """
-    stages = [stage_params_for(spec, task, 0.0) for spec in specs]
-    return build_profiles(
-        [[s.servers for s in row] for row in stages],
-        [[s.unit_rate for s in row] for row in stages],
-        loads,
-        zeta,
-    )
+    return build_profiles(stage_table(specs, task), loads, zeta)
 
 
 def violation_profile(
@@ -318,7 +323,17 @@ def recover_rewards(
         if cur < prev:
             raise DomainError("latencies must be nondecreasing")
     _check_profile(profile, population.n_types)
-    viols = profile.probs(lats)
+    return _prices(lats, profile.probs(lats), population, quality, refund)
+
+
+def _prices(
+    lats: list[float],
+    viols: list[float],
+    population: UserTypePopulation,
+    quality: float,
+    refund: float,
+) -> list[float]:
+    # `recover_rewards` past its checks: one price per type.
     betas = population.betas
     prices = [population.alpha_worst * quality - betas[0] * lats[0]
               + refund * viols[0]]
@@ -432,13 +447,6 @@ def check_ic_ir(
 # menu optimization
 
 
-def _term_value(term: tuple[float, float, float, float], x: float) -> float:
-    # a*x + w*min(1, g*exp(-eta*x)), the clamp read as ViolationProfile.prob.
-    a, w, eta, g = term
-    value = g * math.exp(-eta * x)
-    return a * x + w * (1.0 if value > 1.0 else value)
-
-
 def _term_argmin(
     term: tuple[float, float, float, float], lo: float, hi: float
 ) -> float:
@@ -463,7 +471,12 @@ def _term_argmin(
         x = min(max(math.log(rate / a) / eta, left), hi)
     else:
         x = left
-    return x if _term_value(term, x) < _term_value(term, lo) else lo
+    # The term at x and at lo, its clamp read as ViolationProfile.prob reads it.
+    bound_x = g * math.exp(-eta * x)
+    bound_lo = g * math.exp(-eta * lo)
+    value_x = a * x + w * (1.0 if bound_x > 1.0 else bound_x)
+    value_lo = a * lo + w * (1.0 if bound_lo > 1.0 else bound_lo)
+    return x if value_x < value_lo else lo
 
 
 def _block_argmin(
@@ -484,21 +497,30 @@ def _block_argmin(
     rounding from Python 3.12 on, which would move pooled latencies with the
     Python version.
     """
-    if not any(w > 0.0 for _, w, _, _ in block):
-        return lo
     slope0 = 0.0
-    for a, _, _, _ in block:
-        slope0 += a
+    positive = False
     # (kink, w*eta*g, eta) for every member that decays somewhere.
-    curves = sorted(
-        (math.log(g) / eta if g > 1.0 else -math.inf, w * eta * g, eta)
-        for _, w, eta, g in block
-        if w > 0.0 and eta > 0.0 and g > 0.0
-    )
+    curves = []
+    for a, w, eta, g in block:
+        slope0 += a
+        if w > 0.0:
+            positive = True
+            if eta > 0.0 and g > 0.0:
+                curves.append((math.log(g) / eta if g > 1.0 else -math.inf,
+                               w * eta * g, eta))
+    if not positive:
+        return lo
+    curves.sort()
     edges = [lo] + [k for k, _, _ in curves if lo < k < hi] + [hi]
     candidates = list(edges)
+    # The members decaying on a segment are those with kink <= its left edge:
+    # a prefix of the kink-sorted curves, which grows as the segments move right.
+    active: list[tuple[float, float]] = []
+    n_curves, i = len(curves), 0
     for left, right in zip(edges, edges[1:]):
-        active = [(rate, eta) for k, rate, eta in curves if k <= left]
+        while i < n_curves and curves[i][0] <= left:
+            active.append(curves[i][1:])
+            i += 1
         if not active:
             continue
         decay = 0.0
@@ -526,7 +548,7 @@ def _block_argmin(
             candidates.append(x)
     best, best_value = lo, math.inf
     for x in sorted(candidates):
-        # The members' `_term_value`s at x, inlined.
+        # a*x + w*min(1, g*exp(-eta*x)) summed over the members.
         value = 0.0
         for a, w, eta, g in block:
             bound = g * math.exp(-eta * x)
@@ -620,10 +642,20 @@ def menu_profit(
 ) -> float:
     """Expected profit rate sum_n d_n (price_n - violation_cost * v_n) of a
     priced menu; all-zero masses fall back to the population composition."""
-    masses = _resolve_masses(demand_masses, population)
+    return _profit(_resolve_masses(demand_masses, population), prices, violations,
+                   spec.violation_cost)
+
+
+def _profit(
+    masses: Sequence[float],
+    prices: Sequence[float],
+    violations: Sequence[float],
+    violation_cost: float,
+) -> float:
+    # Summed left to right from 0.0, as every output sum is.
     total = 0.0
     for mass, price, viol in zip(masses, prices, violations):
-        total += mass * (price - spec.violation_cost * viol)
+        total += mass * (price - violation_cost * viol)
     return total
 
 
@@ -683,7 +715,9 @@ def optimize_menu_with_profile(
     lats = _isotonic_minimize(
         terms, [_term_argmin(term, lo, hi) for term in terms], lo, hi
     )
-    prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
+    # Pool-adjacent-violators returns one nondecreasing latency per type, so
+    # the prices skip `recover_rewards`' checks of the schedule.
+    prices = _prices(lats, profile.probs(lats), population, spec.quality, spec.refund)
     return ContractMenu(tuple(lats), tuple(prices))
 
 
@@ -749,16 +783,22 @@ def optimize_menus(
             f"{len(profiles)} and {len(demand_masses)}"
         )
     if n_ops * n_types < _ARRAY_MIN_ENTRIES:
-        rows, profits = [], []
+        # Rows as plain lists: iterating a numpy row yields numpy scalars.
+        if isinstance(demand_masses, np.ndarray):
+            demand_masses = demand_masses.tolist()
+        lats, prices, viols, profits = [], [], [], []
         for spec, row, profile in zip(specs, demand_masses, profiles):
+            masses = _resolve_masses(row, population)
             menu = optimize_menu_with_profile(
-                population, spec, row, profile, latency_bounds
+                population, spec, masses, profile, latency_bounds
             )
-            viols = profile.probs(menu.latencies)
-            rows.append((menu.latencies, menu.prices, viols))
-            profits.append(menu_profit(menu.prices, viols, population, spec, row))
-        arrays = np.array(rows)
-        return MenuSolve(arrays[:, 0], arrays[:, 1], arrays[:, 2], np.array(profits))
+            at_items = profile.probs(menu.latencies)
+            lats.append(menu.latencies)
+            prices.append(menu.prices)
+            viols.append(at_items)
+            profits.append(_profit(masses, menu.prices, at_items, spec.violation_cost))
+        return MenuSolve(np.array(lats), np.array(prices), np.array(viols),
+                         np.array(profits))
 
     for profile in profiles:
         _check_profile(profile, n_types)

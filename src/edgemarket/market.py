@@ -27,10 +27,11 @@ from edgemarket.contracts import (
     optimize_menus,
     social_welfare,
     stage_params_for,
+    stage_table,
     violation_profiles,
 )
 from edgemarket.errors import DomainError, SetupError
-from edgemarket.queueing import ViolationProfile
+from edgemarket.queueing import ViolationProfile, build_profiles
 from edgemarket.scenario import Scenario
 
 
@@ -308,11 +309,14 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     delta = scenario.task.arrival_rate_per_user
     counts = np.asarray(pop.counts, dtype=float)
     caps = capacities(scenario)
+    # Every round's profiles come from one stage table.
+    table = stage_table(scenario.operators, scenario.task)
 
     # Initial menus: no-competition design against the demand floor alone.
     floor_loads = np.tile(_floor_congestion(scenario), (n_ops, 1))
     floor_masses = np.tile(cfg.demand_floor * counts * delta, (n_ops, 1))
-    solve = menus_for(scenario, floor_masses, profiles_at(scenario, floor_loads))
+    solve = menus_for(scenario, floor_masses,
+                      build_profiles(table, floor_loads, cfg.zeta))
     latencies = solve.latencies
     matching = MixedMatching.uniform(n_types, n_ops)
     prices = ShadowPrices.zeros(n_ops)
@@ -335,7 +339,8 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         congestion = cumulative_load(matching, pop, delta)
         masses = demand_mass(matching, pop, delta, cfg.demand_floor)
 
-        solve = menus_for(scenario, masses, profiles_at(scenario, congestion.loads))
+        solve = menus_for(scenario, masses,
+                          build_profiles(table, congestion.loads, cfg.zeta))
         menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
         utilities = item_utility_rows(
@@ -383,7 +388,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     final_congestion = cumulative_load(matching, pop, delta)
     final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
     menus = menus_for(
-        scenario, final_masses, profiles_at(scenario, final_congestion.loads)
+        scenario, final_masses, build_profiles(table, final_congestion.loads, cfg.zeta)
     ).menus()
     if keep_history:
         history.append((menus, np.array(final_congestion.loads)))
@@ -463,6 +468,27 @@ class EquilibriumReport:
     max_gain_ratio: float               # best-response gain / |operator utility|
 
 
+def _check_menus(menus: tuple[ContractMenu, ...], scenario: Scenario) -> None:
+    """One menu per operator, with one item per type."""
+    n_ops, n_types = scenario.n_operators, scenario.n_types
+    if len(menus) < n_ops:
+        raise DomainError(
+            f"operator {len(menus) + 1} has no menu: got {len(menus)} menus for "
+            f"{n_ops} operators"
+        )
+    if len(menus) > n_ops:
+        raise DomainError(
+            f"menu {n_ops + 1} has no operator: got {len(menus)} menus for "
+            f"{n_ops} operators"
+        )
+    for m, menu in enumerate(menus):
+        if len(menu.latencies) != n_types:
+            raise DomainError(
+                f"operator {m + 1}'s menu has {len(menu.latencies)} items, "
+                f"expected one per type ({n_types})"
+            )
+
+
 def verify_selection_equilibrium(
     assignment: np.ndarray,
     menus: tuple[ContractMenu, ...],
@@ -475,6 +501,7 @@ def verify_selection_equilibrium(
     induces) and over zero. Operator side: re-running the menu solve at the
     assignment's demand must not improve the objective materially.
     """
+    _check_menus(menus, scenario)
     a = np.asarray(assignment, dtype=float)
     pop = scenario.population
     delta = scenario.task.arrival_rate_per_user
@@ -510,12 +537,12 @@ def verify_selection_equilibrium(
             blamed.append(rival)
 
     demand = (np.asarray(pop.counts, dtype=float)[:, None] * a[:, 1:] * delta).T
-    resolved = menus_for(scenario, demand, profiles).menus()
+    # Each operator's profit from re-solving its menu at this demand.
+    improved = menus_for(scenario, demand, profiles).profits.tolist()
     gains, op_utils = [], []
     for m, (spec, profile) in enumerate(zip(scenario.operators, profiles)):
         current = menu_objective(menus[m].latencies, pop, spec, demand[m], profile)
-        improved = menu_objective(resolved[m].latencies, pop, spec, demand[m], profile)
-        gains.append(improved - current)
+        gains.append(improved[m] - current)
         op_utils.append(operator_utility(menus[m], demand[m], spec, viols[m]))
 
     gain_ratios = [
@@ -553,6 +580,7 @@ def evaluate_matching(
 ) -> MatchingMetrics:
     """Recompute utilities and welfare from first principles for any matching
     matrix (mixed or 0/1)."""
+    _check_menus(menus, scenario)
     pop = scenario.population
     task = scenario.task
     delta = task.arrival_rate_per_user

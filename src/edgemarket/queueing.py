@@ -9,13 +9,16 @@ Every stage's wait probability comes from `erlang_c`, which evaluates the
 Poisson pmf at c in saddle-point form and sums the Poisson tail ratio, so a
 call costs O(sqrt(c)) steps at most, not c, with relative error about 1e-12.
 
-`build_profiles` is the one builder of violation bounds: for a stack of
+`build_profiles` makes every violation profile: for a `StageTable` of
 operators and every priority-class load it computes eta, the excess
-capacities, the wait probabilities and g in one numpy pass. Its Erlang-C is
-scalar `erlang_c` per lane on small calls and, from _ARRAY_MIN_LANES distinct
-(operator, stage, load) lanes on, `_erlang_c_lanes`, which runs the same float
-operations in the same order over arrays. Both return `erlang_c`'s floats bit
-for bit, so every profile equals the scalar `ViolationModel` exactly.
+capacities, the wait probabilities and g in one numpy pass. The table checks
+the stages once and holds their per-stage constants, so a caller that builds
+many profiles for one market builds it once. `erlang_c`'s float operations
+after its input checks are `_erlang_c_lane`; `build_profiles` runs it per
+(operator, stage, load) lane on small calls and, from _ARRAY_MIN_LANES lanes
+on, `_erlang_c_lanes`, which runs the same float operations in the same order
+over arrays. Both return `erlang_c`'s floats bit for bit, so every profile
+equals the scalar `ViolationModel` exactly.
 """
 
 from __future__ import annotations
@@ -153,9 +156,15 @@ def erlang_c(servers: int, arrival_rate: float, unit_rate: float) -> float:
             f"arrival_rate {arrival_rate} must stay below servers*unit_rate "
             f"{servers * unit_rate} for a stable queue"
         )
-    offered = arrival_rate / unit_rate
-    log_pmf = -_stirlerr(servers) - _bd0(servers, offered)
-    pmf = math.exp(log_pmf) / math.sqrt(_TWO_PI * servers)
+    return _erlang_c_lane(servers, arrival_rate / unit_rate, _stirlerr(servers),
+                          math.sqrt(_TWO_PI * servers))
+
+
+def _erlang_c_lane(servers: int, offered: float, stirlerr: float, root: float) -> float:
+    """`erlang_c` past its input checks, for one stable lane: offered load
+    0 < offered < servers, stirlerr = _stirlerr(servers) and
+    root = math.sqrt(2 pi servers)."""
+    pmf = math.exp(-stirlerr - _bd0(servers, offered)) / root
     if pmf == 0.0:
         return 0.0
     k = servers + 1
@@ -211,14 +220,13 @@ _BLOCK = 16
 
 def _erlang_c_lanes(
     c: np.ndarray,
-    lam: np.ndarray,
-    mu: np.ndarray,
+    offered: np.ndarray,
     stirlerr: np.ndarray,
     root: np.ndarray,
 ) -> np.ndarray:
-    """`erlang_c` on arrays of stable lanes with lam > 0, equal to it bit for bit.
+    """`_erlang_c_lane` on arrays of lanes, equal to it bit for bit.
 
-    Lane i has c[i] servers of rate mu[i] at arrival rate lam[i], with
+    Lane i has c[i] servers at offered load offered[i], with
     stirlerr[i] = _stirlerr(c[i]) and root[i] = math.sqrt(2 pi c[i]). Every
     lane runs the scalar code's float operations in its order: elementwise
     numpy arithmetic rounds as Python floats do, `math.log` and `math.exp`
@@ -226,7 +234,6 @@ def _erlang_c_lanes(
     arguments), and the two series are sequential `cumprod`/`cumsum` passes
     that stop each lane at the index the scalar loop stops at.
     """
-    offered = lam / mu
     bd0 = np.empty_like(offered)
     series = offered > 0.5 * c
     direct = ~series
@@ -396,6 +403,11 @@ def violation_prob(model: ViolationModel, t: float) -> float:
     return min(1.0, model.g_product * math.exp(-model.eta * t))
 
 
+def _check_curves(eta: np.ndarray, g: np.ndarray) -> None:
+    if not ((eta >= 0.0).all() and (g >= 0.0).all()):
+        raise DomainError("eta and g must be >= 0")
+
+
 @dataclass(frozen=True, eq=False)
 class ViolationProfile:
     """Per-type bounds min(1, g_n * exp(-eta_n t)) at one operator's loads.
@@ -416,13 +428,29 @@ class ViolationProfile:
                 f"eta and g must be vectors of one length, got shapes "
                 f"{eta.shape} and {g.shape}"
             )
-        if not ((eta >= 0.0).all() and (g >= 0.0).all()):
-            raise DomainError("eta and g must be >= 0")
+        _check_curves(eta, g)
         eta.setflags(write=False)
         g.setflags(write=False)
+        self._hold(eta, g, tuple(zip(eta.tolist(), g.tolist())))
+
+    def _hold(self, eta: np.ndarray, g: np.ndarray, curves: tuple) -> None:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_curves", tuple(zip(eta.tolist(), g.tolist())))
+        object.__setattr__(self, "_curves", curves)
+
+    @classmethod
+    def _rows(cls, eta: np.ndarray, g: np.ndarray) -> list[ViolationProfile]:
+        """One profile per row of M x N arrays eta and g, checked as a whole;
+        each profile holds read-only views of its rows."""
+        _check_curves(eta, g)
+        eta.setflags(write=False)
+        g.setflags(write=False)
+        profiles = []
+        for row_eta, row_g, curves in zip(eta, g, map(zip, eta.tolist(), g.tolist())):
+            profile = object.__new__(cls)
+            profile._hold(row_eta, row_g, tuple(curves))
+            profiles.append(profile)
+        return profiles
 
     def __len__(self) -> int:
         return len(self._curves)
@@ -435,11 +463,62 @@ class ViolationProfile:
 
     def probs(self, latencies: Sequence[float]) -> list[float]:
         """Each type's bound at its own latency: type n at latencies[n]."""
-        return [self.prob(n, t) for n, t in enumerate(latencies)]
+        if len(latencies) != len(self._curves):
+            raise DomainError(
+                f"latencies must have {len(self._curves)} entries, one per type, "
+                f"got {len(latencies)}"
+            )
+        out = []
+        for (eta, g), t in zip(self._curves, latencies):
+            value = g * math.exp(-eta * t)
+            out.append(1.0 if value > 1.0 else value)
+        return out
+
+
+class StageTable:
+    """M operators' S service stages, checked once, with the per-stage
+    constants every `build_profiles` call reads.
+
+    Row m of servers and unit_rates lists operator m's stages: server counts
+    (>= 1) and per-server rates (> 0). The table keeps them as M x S arrays,
+    plus each stage's capacity c*mu, each operator's smallest capacity, and
+    the constants `erlang_c` derives from c on every call: _stirlerr(c) and
+    math.sqrt(2 pi c).
+    """
+
+    def __init__(
+        self, servers: Sequence[Sequence[int]], unit_rates: Sequence[Sequence[float]]
+    ) -> None:
+        n_servers = np.array(servers, dtype=np.int64)
+        rates = np.array(unit_rates, dtype=float)
+        if n_servers.ndim != 2 or n_servers.shape != rates.shape:
+            raise DomainError(
+                f"servers and unit_rates must be M x S tables of one shape, got "
+                f"shapes {n_servers.shape} and {rates.shape}"
+            )
+        if not (n_servers >= 1).all():
+            raise DomainError(f"servers must be >= 1, got {n_servers.min()}")
+        if not (rates > 0.0).all():
+            raise DomainError(f"unit_rate must be > 0, got {rates.min()}")
+        self.servers = n_servers
+        self.unit_rates = rates
+        # M x S x 1, to broadcast against M x 1 x N loads.
+        self.c = n_servers.astype(float)[:, :, None]
+        self.mu = rates[:, :, None]
+        self.capacity = self.c * self.mu
+        self.min_capacity = self.capacity.min(axis=1)
+        per_stage = n_servers.tolist()
+        self.stirlerr = np.array([[_stirlerr(c) for c in row] for row in per_stage])
+        self.root = np.array([[math.sqrt(_TWO_PI * c) for c in row]
+                              for row in per_stage])
+
+    @property
+    def n_operators(self) -> int:
+        return self.servers.shape[0]
 
 
 # Below this many distinct (operator, stage, load) lanes, `build_profiles` runs
-# scalar `erlang_c` lane by lane; from it on, `_erlang_c_lanes`. The kernel's
+# `_erlang_c_lane` lane by lane; from it on, `_erlang_c_lanes`. The kernel's
 # fixed cost of ~80 numpy calls outweighs its lower per-lane cost on small
 # calls. On the Erlang-C tables of the default fleet's solve + bench (AMD EPYC,
 # Python 3.11, numpy 2.4) it took 110 us against the scalar loop's 81 us at 72
@@ -450,15 +529,11 @@ _ARRAY_MIN_LANES = 128
 
 
 def build_profiles(
-    servers: Sequence[Sequence[int]],
-    unit_rates: Sequence[Sequence[float]],
-    loads: Sequence[Sequence[float]],
-    zeta: float,
+    table: StageTable, loads: Sequence[Sequence[float]], zeta: float
 ) -> list[ViolationProfile]:
     """`ViolationModel.from_stages` for every operator and load, in one array pass.
 
-    Row m of servers and unit_rates lists operator m's stages (servers and
-    per-server rate); row m of the M x N loads matrix holds the load all of
+    Row m of the M x N loads matrix holds the load all of the table's
     operator m's stages carry, type by type. The float operations and their
     order are those of `chernoff_eta`, `StageTail.from_params`, `chernoff_g`
     and `erlang_c`, so every stable type's eta and g equal the scalar model's
@@ -472,27 +547,22 @@ def build_profiles(
         raise DomainError(f"loads must be an M x N matrix, got shape {lam.shape}")
     if (lam < 0.0).any():
         raise DomainError(f"loads must be >= 0, got {lam.min()}")
-    n_servers = np.array(servers, dtype=np.int64)
-    rates = np.array(unit_rates, dtype=float)
-    if (n_servers.ndim != 2 or n_servers.shape != rates.shape
-            or n_servers.shape[0] != lam.shape[0]):
+    if lam.shape[0] != table.n_operators:
         raise DomainError(
-            f"servers and unit_rates must be M x S tables for M = {lam.shape[0]} "
-            f"operators, got shapes {n_servers.shape} and {rates.shape}"
+            f"loads must have one row per operator of the stage table "
+            f"({table.n_operators}), got {lam.shape[0]}"
         )
-    c = n_servers.astype(float)[:, :, None]
-    mu = rates[:, :, None]
-    capacity = c * mu
+    c, mu, capacity = table.c, table.mu, table.capacity
     # Below every stage's capacity iff below the smallest one. Pinned types
     # are evaluated at load 0, where every step is finite, and then reset.
-    stable = lam < capacity.min(axis=1)
+    stable = lam < table.min_capacity
     lam = np.where(stable, lam, 0.0)
     per_stage = lam[:, None, :]
     eta = zeta * (mu - per_stage / c).min(axis=1)
     r = capacity - per_stage
     r = np.where(np.abs(r - mu) < _DEGENERATE_REL_TOL * mu,
                  mu * (1.0 + _DEGENERATE_NUDGE), r)
-    p = _erlang_c_table(n_servers, rates, lam)
+    p = _erlang_c_table(table, lam)
     eta_s = eta[:, None, :]
     stage_g = ((1.0 - p) + p * r / (r - eta_s)) * mu / (mu - eta_s)
     g = stage_g[:, 0]
@@ -503,22 +573,21 @@ def build_profiles(
             "eta must stay positive and below every stage's unit_rate and "
             "excess_capacity"
         )
-    eta = np.where(stable, eta, 0.0)
-    g = np.where(stable, g, 1.0)
-    return [ViolationProfile(eta=eta[m], g=g[m]) for m in range(lam.shape[0])]
+    return ViolationProfile._rows(np.where(stable, eta, 0.0), np.where(stable, g, 1.0))
 
 
-def _erlang_c_table(
-    servers: np.ndarray, unit_rates: np.ndarray, lam: np.ndarray
-) -> np.ndarray:
+def _erlang_c_table(table: StageTable, lam: np.ndarray) -> np.ndarray:
     """Erlang-C as an M x S x N array: operator, stage, load.
 
-    servers and unit_rates are the M x S stage tables, lam the M x N stable
-    loads. Each operator's distinct nonzero loads become lanes, one per stage;
-    a zero load waits with probability 0.
+    lam holds the M x N loads, each below its operator's smallest stage
+    capacity. Each operator's distinct nonzero loads become lanes, one per
+    stage; a zero load waits with probability 0. The table has checked every
+    input `erlang_c` checks, so the lanes skip those checks and read the
+    table's per-stage constants.
     """
     order = np.argsort(lam, axis=1, kind="stable")
-    ranked = np.take_along_axis(lam, order, axis=1)
+    rows = np.arange(lam.shape[0])[:, None]
+    ranked = lam[rows, order]
     # First occurrence of each distinct nonzero load in its sorted row.
     first = np.empty(lam.shape, dtype=bool)
     first[:, 0] = ranked[:, 0] > 0.0
@@ -526,28 +595,22 @@ def _erlang_c_table(
     # Row k >= 1 of `waits` holds the k-th distinct load's lanes; row 0 is zero.
     slot = np.where(ranked > 0.0, np.cumsum(first, axis=None).reshape(lam.shape), 0)
     owner = np.nonzero(first)[0]
-    lane_c = servers[owner]
-    lane_mu = unit_rates[owner]
-    lane_lam = np.broadcast_to(ranked[first][:, None], lane_c.shape)
-    waits = np.zeros((owner.size + 1, servers.shape[1]))
+    lane_c = table.servers[owner]
+    # erlang_c's arrival_rate / unit_rate, lane by lane.
+    offered = ranked[first][:, None] / table.unit_rates[owner]
+    waits = np.zeros((owner.size + 1, table.servers.shape[1]))
     if lane_c.size < _ARRAY_MIN_LANES:
-        waits[1:] = np.reshape([
-            erlang_c(c, a, m) for c, a, m in zip(
-                lane_c.ravel().tolist(), lane_lam.ravel().tolist(),
-                lane_mu.ravel().tolist(),
-            )
-        ], lane_c.shape)
+        waits[1:] = np.reshape(list(map(
+            _erlang_c_lane, lane_c.ravel().tolist(), offered.ravel().tolist(),
+            table.stirlerr[owner].ravel().tolist(), table.root[owner].ravel().tolist(),
+        )), lane_c.shape)
     else:
-        # Per stage, as erlang_c computes them per call.
-        stirlerr = np.array([[_stirlerr(c) for c in row] for row in servers.tolist()])
-        root = np.array([[math.sqrt(_TWO_PI * c) for c in row]
-                         for row in servers.tolist()])
         waits[1:] = _erlang_c_lanes(
-            lane_c.astype(float).ravel(), lane_lam.ravel(), lane_mu.ravel(),
-            stirlerr[owner].ravel(), root[owner].ravel(),
+            lane_c.astype(float).ravel(), offered.ravel(),
+            table.stirlerr[owner].ravel(), table.root[owner].ravel(),
         ).reshape(lane_c.shape)
     by_load = np.empty_like(slot)
-    np.put_along_axis(by_load, order, slot, axis=1)
+    by_load[rows, order] = slot
     return waits[by_load].transpose(0, 2, 1)
 
 

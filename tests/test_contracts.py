@@ -32,7 +32,6 @@ from edgemarket.contracts import (
     _latency_terms,
     _term_argmin,
     _term_argmins,
-    _term_value,
     item_utility_rows,
     menu_from_obj,
     menu_profit,
@@ -44,6 +43,7 @@ from edgemarket.contracts import (
 )
 from edgemarket.queueing import (
     _ARRAY_MIN_LANES,
+    StageTable,
     ViolationModel,
     build_profiles,
     violation_prob,
@@ -129,6 +129,9 @@ def test_violation_profile_rejects_bad_loads_and_lengths():
         recover_rewards([0.2, 0.3, 0.4], pop, SPEC.quality, SPEC.refund, profile)
     with pytest.raises(DomainError):
         menu_objective([0.2, 0.3, 0.4], pop, SPEC, [1.0, 1.0, 1.0], profile)
+    for lats in ([0.2], [0.2, 0.3, 0.4]):
+        with pytest.raises(DomainError, match="latencies must have 2 entries"):
+            profile.probs(lats)
     # One ulp below capacity, lam / c rounds up to mu, so eta would be 0: the
     # scalar model and the profile both refuse the load.
     c, mu = 286, 16.24996048184168
@@ -136,7 +139,15 @@ def test_violation_profile_rejects_bad_loads_and_lengths():
     with pytest.raises(DomainError):
         ViolationModel.from_stages((StageParams(c, mu, lam),) * 3, 0.9)
     with pytest.raises(DomainError):
-        build_profiles([(c,) * 3], [(mu,) * 3], [[lam]], 0.9)
+        build_profiles(StageTable([(c,) * 3], [(mu,) * 3]), [[lam]], 0.9)
+    # The stage table checks what erlang_c checks of a stage, once.
+    for servers, rates in (([(0, 2, 3)], [(1.0,) * 3]),
+                           ([(1, 2, 3)], [(1.0, 0.0, 1.0)]),
+                           ([(1, 2)], [(1.0,) * 3])):
+        with pytest.raises(DomainError):
+            StageTable(servers, rates)
+    with pytest.raises(DomainError, match="one row per operator"):
+        build_profiles(StageTable([(c,) * 3], [(mu,) * 3]), [[1.0], [2.0]], 0.9)
 
 
 def test_population_rejects_increasing_betas():
@@ -358,6 +369,13 @@ def random_term(rng, sign):
     return a, w, eta, g
 
 
+def term_value(term, x):
+    # a*x + w*min(1, g*exp(-eta*x)), the clamp read as ViolationProfile.prob.
+    a, w, eta, g = term
+    value = g * math.exp(-eta * x)
+    return a * x + w * (1.0 if value > 1.0 else value)
+
+
 def test_exact_block_minimum_beats_dense_grid_and_kinks():
     rng = np.random.default_rng(2024)
     grid = np.linspace(LO, HI, 20_001)
@@ -375,13 +393,13 @@ def test_exact_block_minimum_beats_dense_grid_and_kinks():
         else:
             x = _block_argmin(block, LO, HI)
         assert LO <= x <= HI
-        got = sum(_term_value(term, x) for term in block)
+        got = sum(term_value(term, x) for term in block)
         scale = sum(a * HI + abs(w) for a, w, _, _ in block)
         assert got <= total.min() + 1e-12 * scale
         # A single term must agree with the pooled solve of itself.
         if len(block) == 1:
             pooled = _block_argmin(block, LO, HI)
-            assert _term_value(block[0], pooled) <= got + 1e-12 * scale
+            assert term_value(block[0], pooled) <= got + 1e-12 * scale
 
 
 def test_optimized_menus_are_monotone_with_pooled_members_identical():
@@ -459,6 +477,139 @@ def test_refund_above_violation_cost_lands_on_bound_or_kink():
         assert x in kinks
 
 
+def golden_term(rng, hi, sign):
+    """One (a, w, eta, g) term scaled to [LO, hi]: pinned, always decaying
+    (g <= 1), or with a kink ln(g)/eta from below LO to past hi; a is 0 or
+    puts the term's own stationary point anywhere in [0, 1.1*hi]."""
+    w = sign * float(rng.uniform(0.1, 20.0))
+    eta = float(rng.uniform(0.5, 20.0)) / hi
+    kind = rng.random()
+    if kind < 0.1:
+        return float(rng.uniform(0.0, 1.0)) * abs(w), w, 0.0, 1.0
+    if kind < 0.35:
+        kink, g = -math.inf, float(rng.uniform(0.05, 1.0))
+    else:
+        kink = float(rng.uniform(-0.2, 1.2)) * hi
+        g = math.exp(eta * kink)
+    if rng.random() < 0.1:
+        return 0.0, w, eta, g
+    s = float(rng.uniform(0.0, 1.1)) * hi
+    bound = min(1.0, g * math.exp(-eta * max(s, kink)))
+    return abs(w) * eta * bound * float(rng.uniform(0.2, 1.2)), w, eta, g
+
+
+# `_block_argmin` and `_term_argmin` on `golden_cases()`, as float.hex. The
+# draws hold blocks without a positive-w member, single-member blocks, a = 0,
+# g <= 1, kinks inside and outside [LO, hi], and 13 blocks whose Newton
+# iteration runs in two or more segments.
+_GOLDEN_BLOCK_ARGMINS = [
+    "0x1.7525f7a8427b0p+1", "0x1.33840abfdcca2p-5", "0x1.0624dd2f1a9fcp-10",
+    "0x1.01af4ed05ac46p-6", "0x1.07079e69834e7p-1", "0x1.678ceb46c980bp-7",
+    "0x1.ec1e856e3b7f7p-2", "0x1.0624dd2f1a9fcp-10", "0x1.b76b8d620132ep+1",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.f18feebb40c33p-8", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.5420eb1fbe938p-7", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.78774e9978754p+2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.13686930e6efap+3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.3951a1009a7e3p-5", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.de3648f047d75p-3", "0x1.5242f397c8d28p-7",
+    "0x1.f8a8c17b73e03p+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.23179a3466c54p-5", "0x1.bcb52820c9028p+0",
+    "0x1.635a8d44ffa04p-7", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10"
+]
+
+_GOLDEN_TERM_ARGMINS = [
+    "0x1.7525f7a8427b0p+1", "0x1.999999999999ap-5", "0x1.d249a96114fcep-6",
+    "0x1.0624dd2f1a9fcp-10", "0x1.530255fe53a91p+1", "0x1.11df9f1cb5058p-5",
+    "0x1.a13309d0ef6b3p-8", "0x1.4000000000000p+3", "0x1.7483d3059ae1fp+0",
+    "0x1.034dad85f62b5p-8", "0x1.08504ff70cf26p-6", "0x1.ec1e856e3b7f7p-2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.3644cb5676d67p+3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.4000000000000p+3", "0x1.0624dd2f1a9fcp-10", "0x1.4e19ff5700052p-5",
+    "0x1.3c75639b28e9fp-5", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.50761215f8b03p-5",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.68ab96355df20p-5", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.57048fc4dcadep-5", "0x1.6e4311ef69692p-6",
+    "0x1.0624dd2f1a9fcp-10", "0x1.72e7d77eb745cp+2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.78774e9978754p+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.4000000000000p+3", "0x1.f7e5343ff70a8p+2",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.b44fbd78f8a36p+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.4000000000000p+3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.d554d7ba07da9p-6", "0x1.0624dd2f1a9fcp-10", "0x1.4000000000000p+3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.3f4f7105a67c3p+3", "0x1.218ebd95d113ep+3",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.2917a05a72d13p+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.4000000000000p+3", "0x1.42792716c65c0p-5", "0x1.1607aca977e94p-6",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.70fee6aaacf65p+1", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.4f6fc9bfb0a60p+2", "0x1.0624dd2f1a9fcp-10", "0x1.1d6f02bfbdd9ap-6",
+    "0x1.f8a8c17b73e01p+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.33d64dfbfcb23p-5", "0x1.057d330692981p-5",
+    "0x1.0624dd2f1a9fcp-10", "0x1.4000000000000p+3", "0x1.813bb048741c2p-5",
+    "0x1.999999999999ap-5", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10",
+    "0x1.ce1aba0245d0bp+2", "0x1.0624dd2f1a9fcp-10",
+    "0x1.0624dd2f1a9fcp-10", "0x1.0624dd2f1a9fcp-10"
+]
+
+
+def golden_cases():
+    rng = np.random.default_rng(1212)
+    cases = []
+    for i in range(64):
+        hi = (HI, 0.05)[i % 2]
+        sign = -1.0 if i % 8 == 7 else 1.0
+        cases.append(([golden_term(rng, hi, sign) for _ in range(1 + i % 6)], hi))
+    return cases
+
+
+def test_menu_core_reproduces_its_recorded_minimisers_bit_for_bit():
+    cases = golden_cases()
+    blocks = [_block_argmin(block, LO, hi).hex() for block, hi in cases]
+    assert blocks == _GOLDEN_BLOCK_ARGMINS
+    terms = [_term_argmin(term, LO, hi).hex()
+             for block, hi in cases for term in block[:2]]
+    assert terms == _GOLDEN_TERM_ARGMINS
+
+
 def _random_market(rng, n_ops, n_types):
     betas = tuple(np.sort(rng.uniform(1e-5, 5e-4, n_types))[::-1].tolist())
     counts = tuple(int(c) for c in rng.integers(0, 20, n_types))
@@ -504,6 +655,9 @@ def _assert_equals_per_operator_solve(pop, specs, masses, profiles, bounds):
                                 menu.latencies, menu.prices, pop.betas, viols)])):
             assert row.tobytes() == np.array(want).tobytes()
         want = menu_profit(menu.prices, viols, pop, spec, masses[m])
+        assert got.profits[m].tobytes() == np.float64(want).tobytes()
+        # The equilibrium audit reads profits[m] as the re-solved objective.
+        want = menu_objective(got.latencies[m], pop, spec, masses[m], profile)
         assert got.profits[m].tobytes() == np.float64(want).tobytes()
     return got
 

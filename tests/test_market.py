@@ -331,3 +331,25 @@ def test_equilibrium_audit_ignores_opted_out_types():
     report = verify_selection_equilibrium(np.array([[1, 0]]), (menu,), scn)
     assert report.max_regret == 0.0
     assert report.worst_pair is None
+
+
+@pytest.mark.parametrize("case", ["too long", "too short", "missing"])
+def test_evaluators_reject_menus_that_do_not_fit_the_scenario(case):
+    scn = small_scenario((5, 8, 3), n_ops=2)
+    loads = np.asarray(scn.population.counts, float) * 24.0
+    menu = optimize_menu(scn.population, SPEC, TASK, loads, np.cumsum(loads))
+    lats, prices = menu.latencies, menu.prices
+    if case == "too long":
+        menus = (menu, ContractMenu(lats + lats[-1:], prices + prices[-1:]))
+        message = r"operator 2's menu has 4 items, expected one per type \(3\)"
+    elif case == "too short":
+        menus = (ContractMenu(lats[:-1], prices[:-1]), menu)
+        message = r"operator 1's menu has 2 items, expected one per type \(3\)"
+    else:
+        menus = (menu,)
+        message = "operator 2 has no menu: got 1 menus for 2 operators"
+    assignment = np.array([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    with pytest.raises(DomainError, match=message):
+        evaluate_matching(assignment, menus, scn)
+    with pytest.raises(DomainError, match=message):
+        verify_selection_equilibrium(assignment, menus, scn)

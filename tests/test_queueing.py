@@ -20,7 +20,7 @@ from edgemarket import (
     stage_tail,
     violation_prob,
 )
-from edgemarket.queueing import _ARRAY_MIN_LANES, StageTail, _erlang_c_table
+from edgemarket.queueing import _ARRAY_MIN_LANES, StageTable, StageTail, _erlang_c_table
 
 
 def erlang_c_direct(c: int, a: float) -> float:
@@ -94,7 +94,7 @@ def test_array_erlang_c_equals_scalar_bit_for_bit():
     loads = np.array([[rho * c * mu for rho in rhos] for c, mu in rows])
     assert loads.size >= _ARRAY_MIN_LANES
     table = _erlang_c_table(
-        np.array([[c] for c, _ in rows]), np.array([[mu] for _, mu in rows]), loads
+        StageTable([[c] for c, _ in rows], [[mu] for _, mu in rows]), loads
     )
     zeros = 0
     for (c, mu), waits, row in zip(rows, table[:, 0].tolist(), loads.tolist()):

@@ -46,6 +46,12 @@ def test_tracer_wraps_existing_functions_and_restores_them():
         with tracer.root("bench", "small"):
             for name in METHODS:
                 run_method(scn, name)
+        # At the default size (N = 8, M = 3) every menu solve goes through the
+        # wrapped per-operator solve: the floor design, one per round and the
+        # final redesign.
+        default = default_scenario()
+        with tracer.root("solve", "default"):
+            outcome = run_fixed_point(default)
     finally:
         tracer.uninstall()
 
@@ -55,3 +61,7 @@ def test_tracer_wraps_existing_functions_and_restores_them():
     traced = {span.name for span in tracer.spans}
     assert {"market.fixed_point", "contracts.optimize_menu",
             "benchmarks.posted_menus", "benchmarks.gsmc"} <= traced
+    assert (default.n_types, default.n_operators) == (8, 3)
+    menu_spans = [span for span in tracer.spans
+                  if span.cell == "default" and span.name == "contracts.optimize_menu"]
+    assert len(menu_spans) == default.n_operators * (outcome.iterations + 2)
