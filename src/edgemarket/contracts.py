@@ -165,9 +165,9 @@ class ContractMenu:
                 f"{len(lats)} vs {len(prices)}"
             )
         for lat, price in zip(lats, prices):
-            if not lat > 0.0 or not math.isfinite(lat):
+            if not 0.0 < lat < math.inf:
                 raise DomainError(f"latency must be positive and finite, got {lat}")
-            if not math.isfinite(price):
+            if not -math.inf < price < math.inf:
                 raise DomainError(f"price must be finite, got {price}")
         object.__setattr__(self, "latencies", lats)
         object.__setattr__(self, "prices", prices)
@@ -596,8 +596,8 @@ def _resolve_masses(
             f"demand_masses must have {population.n_types} entries, got {len(masses)}"
         )
     for x in masses:
-        if x < 0.0:
-            raise DomainError(f"demand_masses must be >= 0, got {x}")
+        if not 0.0 <= x < math.inf:
+            raise DomainError(f"demand_masses must be >= 0 and finite, got {x}")
     if not any(masses):
         # No demand to weight the trade-off; fall back to the population
         # composition (only relative masses matter to the argmin).
@@ -629,7 +629,7 @@ def _latency_terms(
     margin = spec.violation_cost - spec.refund
     return [
         (betas[n] * tail[n] - betas[n + 1] * tail[n + 1], masses[n] * margin, eta, g)
-        for n, (eta, g) in enumerate(zip(profile.eta.tolist(), profile.g.tolist()))
+        for n, (eta, g) in enumerate(profile.curves)
     ]
 
 
@@ -705,7 +705,12 @@ def optimize_menu_with_profile(
     latency_bounds: tuple[float, float] = LATENCY_BOUNDS,
 ) -> ContractMenu:
     """Same solve with the violation profile already built (hot path in the
-    market loop)."""
+    market loop).
+
+    The menu also carries, outside its value, what `optimize_menus` reads of
+    the solve: `_violations`, each type's bound at its own item's latency,
+    and `_profit`, the `menu_profit` at the resolved demand masses.
+    """
     lo, hi = latency_bounds
     if not 0.0 < lo < hi:
         raise DomainError(f"latency bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -717,8 +722,13 @@ def optimize_menu_with_profile(
     )
     # Pool-adjacent-violators returns one nondecreasing latency per type, so
     # the prices skip `recover_rewards`' checks of the schedule.
-    prices = _prices(lats, profile.probs(lats), population, spec.quality, spec.refund)
-    return ContractMenu(tuple(lats), tuple(prices))
+    viols = profile.probs(lats)
+    prices = _prices(lats, viols, population, spec.quality, spec.refund)
+    menu = ContractMenu(tuple(lats), tuple(prices))
+    object.__setattr__(menu, "_violations", viols)
+    object.__setattr__(menu, "_profit",
+                       _profit(masses, prices, viols, spec.violation_cost))
+    return menu
 
 
 @dataclass(frozen=True)
@@ -743,13 +753,15 @@ class MenuSolve:
 
 # From this many operator-type entries (M x N) on, `optimize_menus` solves
 # every operator in one array pass; below it, operator by operator. The array
-# pass pays about 40 numpy calls whatever the size. On the fixed point's final
-# masses and profiles of the default fleet (AMD EPYC, Python 3.11, numpy 2.4)
-# it took 106 us against the per-operator solve's 87 us at M x N = 3 x 8, 149
-# against 137 us at 3 x 12, 176 against 188 us at 3 x 16, 238 against 267 us
-# at 3 x 24 and 596 against 1 131 us at 3 x 256. At M = 1 the two cross near
-# 64 entries; at N = 8 they tie for M = 6 and the array pass is 31% faster
-# for M = 10.
+# pass pays about 40 numpy calls whatever the size, the per-operator path a
+# fixed cost per operator. On the fixed point's final masses and profiles of
+# the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 15
+# alternating rounds) the array pass took 256 us against the per-operator
+# solve's 169 us at M x N = 3 x 8, 282 against 240 us at 3 x 12, 389 against
+# 359 us at 3 x 16, 396 against 402 us at 3 x 24 and 1 071 against 1 539 us
+# at 3 x 256. At M = 1 the two cross between 64 and 96 entries; at N = 8 the
+# array pass is 11% faster for M = 6 (48 entries) and 20% faster for M = 10.
+# No one gate fits every M; 48 sits between the crossovers.
 # `queueing._ARRAY_MIN_LANES` gates profile building the same way.
 _ARRAY_MIN_ENTRIES = 48
 
@@ -786,19 +798,17 @@ def optimize_menus(
         # Rows as plain lists: iterating a numpy row yields numpy scalars.
         if isinstance(demand_masses, np.ndarray):
             demand_masses = demand_masses.tolist()
-        lats, prices, viols, profits = [], [], [], []
-        for spec, row, profile in zip(specs, demand_masses, profiles):
-            masses = _resolve_masses(row, population)
-            menu = optimize_menu_with_profile(
-                population, spec, masses, profile, latency_bounds
-            )
-            at_items = profile.probs(menu.latencies)
-            lats.append(menu.latencies)
-            prices.append(menu.prices)
-            viols.append(at_items)
-            profits.append(_profit(masses, menu.prices, at_items, spec.violation_cost))
-        return MenuSolve(np.array(lats), np.array(prices), np.array(viols),
-                         np.array(profits))
+        menus = [
+            optimize_menu_with_profile(population, spec, row, profile, latency_bounds)
+            for spec, row, profile in zip(specs, demand_masses, profiles)
+        ]
+        lats, prices, viols = np.array([
+            [menu.latencies for menu in menus],
+            [menu.prices for menu in menus],
+            [menu._violations for menu in menus],
+        ])
+        profits = np.array([menu._profit for menu in menus])
+        return MenuSolve(lats, prices, viols, profits)
 
     for profile in profiles:
         _check_profile(profile, n_types)
@@ -807,8 +817,11 @@ def optimize_menus(
         raise DomainError(
             f"demand_masses must be {n_ops} x {n_types}, got shape {masses.shape}"
         )
-    if (masses < 0.0).any():
-        raise DomainError(f"demand_masses must be >= 0, got {masses.min()}")
+    finite = (masses >= 0.0) & (masses < math.inf)  # NaN fails both
+    if not finite.all():
+        raise DomainError(
+            f"demand_masses must be >= 0 and finite, got {masses[~finite][0]}"
+        )
     # Rows without demand fall back to the population composition, as in
     # `_resolve_masses`.
     masses[~masses.any(axis=1)] = population.counts

@@ -45,6 +45,16 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, field: str, array: np.ndarray):
+    """A one-array state type holding array (made read-only) in field,
+    without the type's checks: for values built from checked state in a way
+    that cannot fail them."""
+    array.setflags(write=False)
+    state = object.__new__(cls)
+    object.__setattr__(state, field, array)
+    return state
+
+
 @dataclass(frozen=True)
 class MixedMatching:
     """Row-stochastic N x (M+1) matrix; column 0 is the opt-out option."""
@@ -57,10 +67,11 @@ class MixedMatching:
             raise DomainError(
                 f"matching must be N x (M+1) with M >= 1, got shape {arr.shape}"
             )
-        if np.any(arr < -1e-12) or np.any(arr > 1.0 + 1e-12):
+        # min and max carry a NaN through, so NaN fails each test.
+        if not (arr.min(initial=0.0) >= -1e-12
+                and arr.max(initial=1.0) <= 1.0 + 1e-12):
             raise DomainError("matching probabilities must lie in [0, 1]")
-        row_sums = arr.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > 1e-9):
+        if not np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9:
             raise DomainError("matching rows must sum to 1")
         object.__setattr__(self, "probs", arr)
 
@@ -77,6 +88,11 @@ class MixedMatching:
         return self.probs.shape[1] - 1
 
 
+def _finite_nonnegative(arr: np.ndarray) -> bool:
+    # min and max carry a NaN through, so NaN fails both tests.
+    return arr.min(initial=0.0) >= 0.0 and arr.max(initial=0.0) < math.inf
+
+
 @dataclass(frozen=True)
 class ShadowPrices:
     omegas: np.ndarray  # one nonnegative congestion price per operator
@@ -85,8 +101,8 @@ class ShadowPrices:
         arr = _frozen_array(self.omegas)
         if arr.ndim != 1:
             raise DomainError(f"omegas must be a vector, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            raise DomainError("omegas must be >= 0")
+        if not _finite_nonnegative(arr):
+            raise DomainError("omegas must be >= 0 and finite")
         object.__setattr__(self, "omegas", arr)
 
     @classmethod
@@ -104,8 +120,8 @@ class CongestionVector:
         arr = _frozen_array(self.loads)
         if arr.ndim != 2:
             raise DomainError(f"loads must be M x N, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            raise DomainError("loads must be >= 0")
+        if not _finite_nonnegative(arr):
+            raise DomainError("loads must be >= 0 and finite")
         if np.any(np.diff(arr, axis=1) < -1e-9):
             raise DomainError("loads must be cumulative (nondecreasing per operator)")
         object.__setattr__(self, "loads", arr)
@@ -188,7 +204,9 @@ def cumulative_load(
         )
     counts = np.asarray(population.counts, dtype=float)
     per_type = counts[:, None] * matching.probs[:, 1:] * delta  # N x M
-    return CongestionVector(np.cumsum(per_type, axis=0).T)
+    # A cumulative sum of a checked matching's terms: finite, nonnegative up
+    # to the matching's 1e-12 tolerance, and nondecreasing.
+    return _unchecked(CongestionVector, "loads", np.cumsum(per_type, axis=0).T)
 
 
 def mixed_response(
@@ -198,13 +216,26 @@ def mixed_response(
     if not temperature > 0.0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
     utils = np.asarray(adjusted, dtype=float)
-    if utils.ndim != 2:
-        raise DomainError(f"adjusted utilities must be N x M, got shape {utils.shape}")
-    scores = np.column_stack([np.full(utils.shape[0], opt_out_utility), utils])
-    scores = scores / temperature
+    if utils.ndim != 2 or utils.shape[1] < 1:
+        raise DomainError(
+            f"adjusted utilities must be N x M with M >= 1, got shape {utils.shape}"
+        )
+    scores = np.empty((utils.shape[0], utils.shape[1] + 1))
+    scores[:, 0] = opt_out_utility
+    scores[:, 1:] = utils
+    scores /= temperature
     scores -= scores.max(axis=1, keepdims=True)
     weights = np.exp(scores)
-    return MixedMatching(weights / weights.sum(axis=1, keepdims=True))
+    totals = weights.sum(axis=1, keepdims=True)
+    # Without a NaN score each row's largest weight is exp(0) = 1, so every
+    # total is at least 1 and the quotients form a matching (each in [0, 1],
+    # rows summing to 1 up to rounding). A NaN score, from a NaN utility or
+    # an infinite one after scaling, makes its row's total NaN.
+    if not totals.min(initial=1.0) >= 1.0:
+        raise DomainError(
+            "adjusted utilities must be finite after dividing by the temperature"
+        )
+    return _unchecked(MixedMatching, "probs", weights / totals)
 
 
 def damp(
@@ -217,8 +248,10 @@ def damp(
             f"matching shapes differ: {previous.probs.shape} vs "
             f"{response.probs.shape}"
         )
-    return MixedMatching(
-        (1.0 - damping) * previous.probs + damping * response.probs
+    # A convex combination of two checked matchings is one, up to rounding.
+    return _unchecked(
+        MixedMatching, "probs",
+        (1.0 - damping) * previous.probs + damping * response.probs,
     )
 
 
@@ -234,13 +267,15 @@ def update_shadow_prices(
     if not price_step > 0.0:
         raise DomainError(f"price_step must be > 0, got {price_step}")
     caps = np.asarray(capacities, dtype=float)
-    if np.any(caps <= 0.0):
+    if not (caps > 0.0).all():  # NaN fails this too
         raise DomainError("capacities must be > 0")
     counts = np.asarray(population.counts, dtype=float)
     demand = (counts[:, None] * matching.probs[:, 1:] * delta).sum(axis=0)
-    return ShadowPrices(
-        np.maximum(0.0, prices.omegas + price_step * (demand - caps) / caps)
-    )
+    omegas = np.maximum(0.0, prices.omegas + price_step * (demand - caps) / caps)
+    # np.maximum keeps every price >= 0 and carries a NaN through.
+    if not omegas.max(initial=0.0) < math.inf:
+        raise DomainError("shadow prices must stay finite")
+    return _unchecked(ShadowPrices, "omegas", omegas)
 
 
 def demand_mass(
@@ -300,6 +335,11 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
 
     Non-convergence within max_iters is not an error: the iterate with the
     smallest matching residual is returned with converged=False.
+
+    The scenario, its stage table, the per-type traffic and the capacities
+    are checked or built once per solve. Each round checks the response
+    matching and the shadow prices it builds; the damped matching and the
+    cumulative loads are built from checked state without a second check.
     """
     cfg = scenario.solver
     check_floor_feasible(scenario)
@@ -308,7 +348,9 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     n_types = pop.n_types
     delta = scenario.task.arrival_rate_per_user
     counts = np.asarray(pop.counts, dtype=float)
+    traffic = counts[:, None] * delta  # N x 1: each type's task rate
     caps = capacities(scenario)
+    per_capacity = caps[None, :]
     # Every round's profiles come from one stage table.
     table = stage_table(scenario.operators, scenario.task)
 
@@ -331,6 +373,9 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     iterations = 0
     best_residual = math.inf
     best_state = (matching, prices)
+    best_round = 0
+    # The loads and menu solve of the round that starts from the best iterate.
+    after_best = None
 
     for k in range(1, cfg.max_iters + 1):
         iterations = k
@@ -341,14 +386,14 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
 
         solve = menus_for(scenario, masses,
                           build_profiles(table, congestion.loads, cfg.zeta))
+        if k == best_round + 1:
+            after_best = (congestion, solve)
         menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
         utilities = item_utility_rows(
             pop, scenario.operators, solve.latencies, solve.prices, solve.violations
         ).T
-        adjusted = utilities - prices.omegas[None, :] * (
-            counts[:, None] * delta
-        ) / caps[None, :]
+        adjusted = utilities - prices.omegas[None, :] * traffic / per_capacity
         response = mixed_response(adjusted, cfg.opt_out_utility, temperature)
         new_matching = damp(matching, response, cfg.damping)
         matching_res = float(np.max(np.abs(new_matching.probs - matching.probs)))
@@ -365,7 +410,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
             temperature=temperature,
             matching_residual=matching_res,
             menu_residual=menu_res,
-            shadow_prices=tuple(float(w) for w in prices.omegas),
+            shadow_prices=tuple(prices.omegas.tolist()),
             objectives=tuple(solve.profits.tolist()),
         ))
         if keep_history:
@@ -376,20 +421,27 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         if matching_res < best_residual:
             best_residual = matching_res
             best_state = (matching, prices)
+            best_round = k
         if matching_res < cfg.matching_tol and menu_res < cfg.menu_tol:
             converged = True
             break
 
+    # Final redesign against the returned matching's congestion, so the
+    # returned menus are each operator's best response to it. When the best
+    # iterate is returned and a later round started from it, that round has
+    # already made exactly this redesign.
     if not converged:
         matching, prices = best_state
-
-    # Final redesign against the converged congestion so the returned menus
-    # are each operator's best response to the returned matching.
-    final_congestion = cumulative_load(matching, pop, delta)
-    final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
-    menus = menus_for(
-        scenario, final_masses, build_profiles(table, final_congestion.loads, cfg.zeta)
-    ).menus()
+    if not converged and best_round < iterations:
+        final_congestion, final_solve = after_best
+    else:
+        final_congestion = cumulative_load(matching, pop, delta)
+        final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
+        final_solve = menus_for(
+            scenario, final_masses,
+            build_profiles(table, final_congestion.loads, cfg.zeta),
+        )
+    menus = final_solve.menus()
     if keep_history:
         history.append((menus, np.array(final_congestion.loads)))
 

@@ -15,10 +15,11 @@ capacities, the wait probabilities and g in one numpy pass. The table checks
 the stages once and holds their per-stage constants, so a caller that builds
 many profiles for one market builds it once. `erlang_c`'s float operations
 after its input checks are `_erlang_c_lane`; `build_profiles` runs it per
-(operator, stage, load) lane on small calls and, from _ARRAY_MIN_LANES lanes
-on, `_erlang_c_lanes`, which runs the same float operations in the same order
-over arrays. Both return `erlang_c`'s floats bit for bit, so every profile
-equals the scalar `ViolationModel` exactly.
+distinct (operator, stage, load) lane on small calls and, from
+_ARRAY_MIN_LANES (operator, stage, type) triples on, `_erlang_c_lanes`, which
+runs the same float operations in the same order over arrays. Both return
+`erlang_c`'s floats bit for bit, so every profile equals the scalar
+`ViolationModel` exactly.
 """
 
 from __future__ import annotations
@@ -414,7 +415,8 @@ class ViolationProfile:
 
     A pinned type (some stage unstable at its load) has eta 0 and g 1, so its
     bound is 1 at every latency. Curves are read with `math.exp` on Python
-    floats, the arithmetic `violation_prob` does on a `ViolationModel`.
+    floats, the arithmetic `violation_prob` does on a `ViolationModel`;
+    `curves` holds each type's (eta, g) as Python floats.
     """
 
     eta: np.ndarray
@@ -436,13 +438,12 @@ class ViolationProfile:
     def _hold(self, eta: np.ndarray, g: np.ndarray, curves: tuple) -> None:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "_curves", curves)
+        object.__setattr__(self, "curves", curves)
 
     @classmethod
     def _rows(cls, eta: np.ndarray, g: np.ndarray) -> list[ViolationProfile]:
-        """One profile per row of M x N arrays eta and g, checked as a whole;
-        each profile holds read-only views of its rows."""
-        _check_curves(eta, g)
+        """One profile per row of M x N arrays eta and g that the caller has
+        checked; each profile holds read-only views of its rows."""
         eta.setflags(write=False)
         g.setflags(write=False)
         profiles = []
@@ -453,23 +454,23 @@ class ViolationProfile:
         return profiles
 
     def __len__(self) -> int:
-        return len(self._curves)
+        return len(self.curves)
 
     def prob(self, n: int, t: float) -> float:
         """Type n's violation bound at agreed latency t."""
-        eta, g = self._curves[n]
+        eta, g = self.curves[n]
         value = g * math.exp(-eta * t)
         return 1.0 if value > 1.0 else value
 
     def probs(self, latencies: Sequence[float]) -> list[float]:
         """Each type's bound at its own latency: type n at latencies[n]."""
-        if len(latencies) != len(self._curves):
+        if len(latencies) != len(self.curves):
             raise DomainError(
-                f"latencies must have {len(self._curves)} entries, one per type, "
+                f"latencies must have {len(self.curves)} entries, one per type, "
                 f"got {len(latencies)}"
             )
         out = []
-        for (eta, g), t in zip(self._curves, latencies):
+        for (eta, g), t in zip(self.curves, latencies):
             value = g * math.exp(-eta * t)
             out.append(1.0 if value > 1.0 else value)
         return out
@@ -481,9 +482,11 @@ class StageTable:
 
     Row m of servers and unit_rates lists operator m's stages: server counts
     (>= 1) and per-server rates (> 0). The table keeps them as M x S arrays,
-    plus each stage's capacity c*mu, each operator's smallest capacity, and
-    the constants `erlang_c` derives from c on every call: _stirlerr(c) and
-    math.sqrt(2 pi c).
+    plus each stage's capacity c*mu, each operator's smallest capacity, the
+    resonance test's width and nudged rate, and the constants `erlang_c`
+    derives from c on every call: _stirlerr(c) and math.sqrt(2 pi c).
+    `lanes[m]` holds operator m's stages as (c, mu, stirlerr, root) tuples of
+    Python numbers, the arguments `_erlang_c_lane` takes.
     """
 
     def __init__(
@@ -507,25 +510,34 @@ class StageTable:
         self.mu = rates[:, :, None]
         self.capacity = self.c * self.mu
         self.min_capacity = self.capacity.min(axis=1)
+        self.resonance = _DEGENERATE_REL_TOL * self.mu
+        self.nudged = self.mu * (1.0 + _DEGENERATE_NUDGE)
         per_stage = n_servers.tolist()
         self.stirlerr = np.array([[_stirlerr(c) for c in row] for row in per_stage])
         self.root = np.array([[math.sqrt(_TWO_PI * c) for c in row]
                               for row in per_stage])
+        self.lanes = [list(zip(*row)) for row in zip(
+            per_stage, rates.tolist(), self.stirlerr.tolist(), self.root.tolist()
+        )]
 
     @property
     def n_operators(self) -> int:
         return self.servers.shape[0]
 
 
-# Below this many distinct (operator, stage, load) lanes, `build_profiles` runs
-# `_erlang_c_lane` lane by lane; from it on, `_erlang_c_lanes`. The kernel's
-# fixed cost of ~80 numpy calls outweighs its lower per-lane cost on small
-# calls. On the Erlang-C tables of the default fleet's solve + bench (AMD EPYC,
-# Python 3.11, numpy 2.4) it took 110 us against the scalar loop's 81 us at 72
-# lanes (8 types), 124 against 142 us at 144 lanes (16 types) and 432 against
-# 1 130 us at 1 350 lanes (256 types): the paths cross near 120 lanes.
+# Below this many (operator, stage, type) triples in a `build_profiles` call,
+# `_erlang_c_table` walks the loads as Python lists and runs `_erlang_c_lane`
+# per load that differs from the type before's; from it on, it sorts out the
+# distinct loads and runs `_erlang_c_lanes`, whose fixed cost of ~80 numpy
+# calls outweighs its lower per-lane cost on small calls. On the fixed point's final loads of the
+# default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 15
+# alternating rounds) a whole `build_profiles` call took 254 us on the list
+# path against 469 us on the array path at 72 triples (8 types), 305 against
+# 326 us at 144 (16 types), 348 against 331 us at 180 (20 types) and 2 067
+# against 928 us at 2 304 (256 types); at one operator, 432 against 450 us at
+# 144 triples and 570 against 479 us at 192. The paths cross near 170 triples.
 # `contracts._ARRAY_MIN_ENTRIES` gates the menu solve the same way.
-_ARRAY_MIN_LANES = 128
+_ARRAY_MIN_LANES = 160
 
 
 def build_profiles(
@@ -538,41 +550,48 @@ def build_profiles(
     order are those of `chernoff_eta`, `StageTail.from_params`, `chernoff_g`
     and `erlang_c`, so every stable type's eta and g equal the scalar model's
     bit for bit. Erlang-C runs once per distinct nonzero load of an operator
-    and stage; a type some stage cannot carry is pinned (eta 0, g 1).
+    and stage (on small calls, once per run of equal loads, which for
+    cumulative loads is the same); a type some stage cannot carry is pinned
+    (eta 0, g 1).
     """
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"zeta must be in (0, 1), got {zeta}")
-    lam = np.array(loads, dtype=float)
+    lam = np.asarray(loads, dtype=float)
     if lam.ndim != 2:
         raise DomainError(f"loads must be an M x N matrix, got shape {lam.shape}")
-    if (lam < 0.0).any():
+    if not (lam >= 0.0).all():  # NaN fails this too
         raise DomainError(f"loads must be >= 0, got {lam.min()}")
     if lam.shape[0] != table.n_operators:
         raise DomainError(
             f"loads must have one row per operator of the stage table "
             f"({table.n_operators}), got {lam.shape[0]}"
         )
-    c, mu, capacity = table.c, table.mu, table.capacity
+    c, mu = table.c, table.mu
     # Below every stage's capacity iff below the smallest one. Pinned types
     # are evaluated at load 0, where every step is finite, and then reset.
     stable = lam < table.min_capacity
     lam = np.where(stable, lam, 0.0)
     per_stage = lam[:, None, :]
     eta = zeta * (mu - per_stage / c).min(axis=1)
-    r = capacity - per_stage
-    r = np.where(np.abs(r - mu) < _DEGENERATE_REL_TOL * mu,
-                 mu * (1.0 + _DEGENERATE_NUDGE), r)
+    r = table.capacity - per_stage
+    r = np.where(np.abs(r - mu) < table.resonance, table.nudged, r)
     p = _erlang_c_table(table, lam)
     eta_s = eta[:, None, :]
-    stage_g = ((1.0 - p) + p * r / (r - eta_s)) * mu / (mu - eta_s)
-    g = stage_g[:, 0]
-    for s in range(1, stage_g.shape[1]):
-        g = g * stage_g[:, s]
-    if not ((eta > 0.0).all() and (eta_s < mu).all() and (eta_s < r).all()):
+    below_r, below_mu = r - eta_s, mu - eta_s
+    stage_g = ((1.0 - p) + p * r / below_r) * mu / below_mu
+    # The product over stages, multiplied in stage order.
+    g = stage_g.prod(axis=1)
+    # A difference of finite floats is positive iff the first is larger;
+    # min carries a NaN through, so a NaN eta fails the first test.
+    if not (eta.min(initial=math.inf) > 0.0
+            and below_mu.min(initial=math.inf) > 0.0
+            and below_r.min(initial=math.inf) > 0.0):
         raise DomainError(
             "eta must stay positive and below every stage's unit_rate and "
             "excess_capacity"
         )
+    # Past that check every stage's factor of g is positive (p in [0, 1],
+    # eta below mu and r), so the curves need no further check.
     return ViolationProfile._rows(np.where(stable, eta, 0.0), np.where(stable, g, 1.0))
 
 
@@ -584,7 +603,30 @@ def _erlang_c_table(table: StageTable, lam: np.ndarray) -> np.ndarray:
     stage; a zero load waits with probability 0. The table has checked every
     input `erlang_c` checks, so the lanes skip those checks and read the
     table's per-stage constants.
+
+    Below _ARRAY_MIN_LANES (operator, stage, type) triples the loads are
+    walked as Python lists, type by type: a load equal to the type before's
+    takes its wait, any other runs `_erlang_c_lane`, and one array is built
+    from the waits. Cumulative loads repeat only next to each other (where a
+    type adds no traffic), so each distinct load runs once. From the gate on
+    the distinct loads are found by sorting, run `_erlang_c_lanes` and are
+    scattered back by fancy indexing.
     """
+    n_ops, n_types = lam.shape
+    n_stages = table.servers.shape[1]
+    if n_ops * n_types * n_stages < _ARRAY_MIN_LANES:
+        waits = []
+        for stages, row in zip(table.lanes, lam.tolist()):
+            for c, mu, stirlerr, root in stages:
+                previous = wait = 0.0
+                for x in row:
+                    if x != previous:
+                        previous = x
+                        # erlang_c's offered load is arrival_rate / unit_rate.
+                        wait = (_erlang_c_lane(c, x / mu, stirlerr, root)
+                                if x > 0.0 else 0.0)
+                    waits.append(wait)
+        return np.array(waits).reshape(n_ops, n_stages, n_types)
     order = np.argsort(lam, axis=1, kind="stable")
     rows = np.arange(lam.shape[0])[:, None]
     ranked = lam[rows, order]
@@ -595,20 +637,13 @@ def _erlang_c_table(table: StageTable, lam: np.ndarray) -> np.ndarray:
     # Row k >= 1 of `waits` holds the k-th distinct load's lanes; row 0 is zero.
     slot = np.where(ranked > 0.0, np.cumsum(first, axis=None).reshape(lam.shape), 0)
     owner = np.nonzero(first)[0]
-    lane_c = table.servers[owner]
     # erlang_c's arrival_rate / unit_rate, lane by lane.
     offered = ranked[first][:, None] / table.unit_rates[owner]
-    waits = np.zeros((owner.size + 1, table.servers.shape[1]))
-    if lane_c.size < _ARRAY_MIN_LANES:
-        waits[1:] = np.reshape(list(map(
-            _erlang_c_lane, lane_c.ravel().tolist(), offered.ravel().tolist(),
-            table.stirlerr[owner].ravel().tolist(), table.root[owner].ravel().tolist(),
-        )), lane_c.shape)
-    else:
-        waits[1:] = _erlang_c_lanes(
-            lane_c.astype(float).ravel(), offered.ravel(),
-            table.stirlerr[owner].ravel(), table.root[owner].ravel(),
-        ).reshape(lane_c.shape)
+    waits = np.zeros((owner.size + 1, n_stages))
+    waits[1:] = _erlang_c_lanes(
+        table.c[owner, :, 0].ravel(), offered.ravel(),
+        table.stirlerr[owner].ravel(), table.root[owner].ravel(),
+    ).reshape(offered.shape)
     by_load = np.empty_like(slot)
     by_load[rows, order] = slot
     return waits[by_load].transpose(0, 2, 1)

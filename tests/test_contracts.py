@@ -692,6 +692,23 @@ def test_optimize_menus_equals_per_operator_solve_bit_for_bit(
     assert len(set(got.menus()[0].latencies)) == 1 and got.latencies[0, 0] > LO
 
 
+@pytest.mark.parametrize("array_min_entries", [0, contracts._ARRAY_MIN_ENTRIES])
+def test_menu_solves_reject_non_finite_demand_masses(monkeypatch, array_min_entries):
+    # NaN and inf fail the check a negative mass fails, on the per-operator
+    # path (2 x 3 entries, below the gate) and on the array path (gate 0).
+    monkeypatch.setattr(contracts, "_ARRAY_MIN_ENTRIES", array_min_entries)
+    pop = make_population(3)
+    profile, _ = make_profile(pop)
+    for bad in (math.nan, math.inf, -1.0):
+        masses = [[10.0, bad, 12.0], [10.0, 12.0, 8.0]]
+        with pytest.raises(DomainError, match="demand_masses must be >= 0"):
+            optimize_menus(pop, [SPEC, SPEC], masses, [profile, profile])
+        with pytest.raises(DomainError, match="demand_masses must be >= 0"):
+            optimize_menu_with_profile(pop, SPEC, masses[0], profile)
+        with pytest.raises(DomainError, match="demand_masses must be >= 0"):
+            menu_profit([1.0] * 3, [0.1] * 3, pop, SPEC, masses[0])
+
+
 def test_term_argmins_equal_the_scalar_closed_form():
     # Every branch of `_term_argmin`: flat, pinned, w <= 0, a = 0, the kink
     # past hi, and interior, kink and bound minimisers; then random terms.

@@ -1,6 +1,8 @@
 """Market fixed point: elementary update steps, the annealed loop, projection
 to deterministic assignments, and the equilibrium audit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -22,14 +24,18 @@ from edgemarket import (
     run_fixed_point,
     verify_selection_equilibrium,
 )
+from edgemarket import contracts
 from edgemarket.market import (
     CongestionVector,
     anneal,
+    capacities,
     cumulative_load,
     damp,
     demand_mass,
     evaluate_matching,
+    menus_for,
     mixed_response,
+    profiles_at,
     update_shadow_prices,
 )
 
@@ -202,6 +208,43 @@ def test_matching_and_congestion_validation():
         ShadowPrices(np.array([-0.1]))
 
 
+def test_mixed_matching_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            MixedMatching(np.array([[bad, 0.5, 0.5], [0.0, 0.5, 0.5]]))
+
+
+def test_shadow_prices_reject_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ShadowPrices(np.array([bad, 0.1]))
+    # The price step builds prices from checked ones; an infinite step
+    # would make them infinite.
+    pop = UserTypePopulation(betas=(1e-4,), counts=(10,))
+    matched = MixedMatching(np.array([[0.0, 1.0]]))
+    with pytest.raises(DomainError, match="finite"):
+        update_shadow_prices(ShadowPrices.zeros(1), matched, pop, 24.0,
+                             np.array([100.0]), math.inf)
+
+
+def test_congestion_vector_rejects_non_finite_entries():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            CongestionVector(np.array([[bad, 1.0]]))
+
+
+def test_mixed_response_rejects_nan_and_infinite_utilities():
+    with pytest.raises(DomainError, match="finite"):
+        mixed_response(np.array([[math.nan, 0.1], [0.2, 0.1]]), 0.0, 1.0)
+    # An infinite score, given or from dividing by the temperature, meets
+    # inf - inf in the softmax (numpy warns of both steps).
+    with np.errstate(invalid="ignore", over="ignore"):
+        for adjusted, temperature in ((np.array([[math.inf, 0.1]]), 1.0),
+                                      (np.array([[1e300, 0.1]]), 1e-300)):
+            with pytest.raises(DomainError, match="finite"):
+                mixed_response(adjusted, 0.0, temperature)
+
+
 def test_single_operator_degenerates_quickly():
     scn = small_scenario((5,))
     outcome = run_fixed_point(scn)
@@ -353,3 +396,126 @@ def test_evaluators_reject_menus_that_do_not_fit_the_scenario(case):
         evaluate_matching(assignment, menus, scn)
     with pytest.raises(DomainError, match=message):
         verify_selection_equilibrium(assignment, menus, scn)
+
+
+def test_unconverged_solve_reuses_the_round_after_its_best_iterate(monkeypatch):
+    # At 400 users the fixed point stops at its iteration cap and returns its
+    # best iterate, from which a later round started. The returned menus are
+    # that round's redesign, equal to a fresh one at the returned matching,
+    # and the final redesign solves no menu again.
+    scn = default_scenario(seed=1, total_users=400)
+    solves = []
+    solve_one = contracts.optimize_menu_with_profile
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_one(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, "optimize_menu_with_profile", counted)
+    out = run_fixed_point(scn)
+    assert not out.converged
+    residuals = [rec.matching_residual for rec in out.trace]
+    assert residuals.index(min(residuals)) + 1 < out.iterations
+    assert len(solves) == scn.n_operators * (out.iterations + 1)
+    pop, delta = scn.population, scn.task.arrival_rate_per_user
+    loads = cumulative_load(out.matching, pop, delta).loads
+    masses = demand_mass(out.matching, pop, delta, scn.solver.demand_floor)
+    assert out.congestion.loads.tobytes() == loads.tobytes()
+    assert out.menus == menus_for(scn, masses, profiles_at(scn, loads)).menus()
+
+
+# `run_fixed_point`'s iterations, matching, menus and the projected matching's
+# social welfare, as float.hex, recorded before the small-market round was
+# restructured; every later change must reproduce them bit for bit.
+_PINNED_DEFAULT = {
+    "iterations": 18,
+    "welfare": "0x1.516bd24891f98p+12",
+    "matching": [
+        "0x1.fffffffffffabp-3", "0x1.000000000002bp-2", "0x1.0000000000004p-2",
+        "0x1.ffffffffffff8p-3", "0x1.fa3f4193db6a8p-3", "0x1.00fa7ed21c7d9p-2",
+        "0x1.00f7e441654c6p-2", "0x1.00edfc229080cp-2", "0x1.f4688b5b542cep-3",
+        "0x1.01f7c80e965cbp-2", "0x1.01f26f141640dp-2", "0x1.01e1832fa94c2p-2",
+        "0x1.ee9d8bbe2d8f2p-3", "0x1.02f325715bb5fp-2", "0x1.02eb08c50fd40p-2",
+        "0x1.02d30bea7dae8p-2", "0x1.e84343fe780f2p-3", "0x1.03fa7bb7646aep-2",
+        "0x1.03f42ceaf95b4p-2", "0x1.03efb55e66324p-2", "0x1.e1dadc093ee30p-3",
+        "0x1.04fdf45a67372p-2", "0x1.04fbcdd08df1dp-2", "0x1.0518cfd06b659p-2",
+        "0x1.dae1faba72b2ep-3", "0x1.060a94d3954cap-2", "0x1.061262014715ep-2",
+        "0x1.06720bcdea441p-2", "0x1.d39debe85a44ep-3", "0x1.071950c64532ep-2",
+        "0x1.072eff9d92f68p-2", "0x1.07e8b9a7fab44p-2",
+    ],
+    "latencies": [
+        "0x1.35ae845cc1383p-2", "0x1.3c692f9099c6cp-2", "0x1.3c692f9099c6cp-2",
+        "0x1.5a167f3200a2dp-2", "0x1.5e65e7351527ep-2", "0x1.7cd8c6f351dc1p-2",
+        "0x1.8e7135fd513e3p-2", "0x1.ed9532ee06054p-2", "0x1.34deea3396277p-2",
+        "0x1.3b900b71d65ddp-2", "0x1.3b900b71d65ddp-2", "0x1.5aa740f334b31p-2",
+        "0x1.5fae3c9796586p-2", "0x1.7fe39c73ccf27p-2", "0x1.92a79d44913abp-2",
+        "0x1.f69ad4e6e5c26p-2", "0x1.31c8f47420a52p-2", "0x1.3965bc051cd75p-2",
+        "0x1.3965bc051cd75p-2", "0x1.60b1c78505e0dp-2", "0x1.69f33b92d0b59p-2",
+        "0x1.9430c1865ab10p-2", "0x1.addd56dddd5f4p-2", "0x1.16dcbcdc625b7p-1",
+    ],
+    "prices": [
+        "0x1.7ff0b9c8c7843p+0", "0x1.7ff055f81c7a0p+0", "0x1.7ff055129d009p+0",
+        "0x1.7fef37240f93dp+0", "0x1.7fef1933d97b3p+0", "0x1.7fee6a66c4bf5p+0",
+        "0x1.7fee26881068cp+0", "0x1.7fed6abce7f8dp+0", "0x1.7ff0c515fbd5ep+0",
+        "0x1.7ff0622cb749ap+0", "0x1.7ff06220303f6p+0", "0x1.7fef387d91a04p+0",
+        "0x1.7fef1634129b4p+0", "0x1.7fee5e5dce3e8p+0", "0x1.7fee1677432dbp+0",
+        "0x1.7fed51b3d0b79p+0", "0x1.7ff0f0905a243p+0", "0x1.7ff084f30afe7p+0",
+        "0x1.7ff08a286654dp+0", "0x1.7fef1c75d7589p+0", "0x1.7feee08619da4p+0",
+        "0x1.7fedf5b7b30dep+0", "0x1.7fed964f97c4bp+0", "0x1.7fec9e0a3b7acp+0",
+    ],
+}
+_PINNED_400_USERS_SEED_1 = {
+    "iterations": 50,
+    "welfare": "0x1.a6e6f32344c58p+12",
+    "matching": [
+        "0x1.ffffffffffffep-3", "0x1.0000000000024p-2", "0x1.0000000000021p-2",
+        "0x1.fffffffffff76p-3", "0x1.fe154b657b73cp-3", "0x1.005a4c9cfb81dp-2",
+        "0x1.00553a893eb99p-2", "0x1.0045d327080acp-2", "0x1.fc2b70d78b46ap-3",
+        "0x1.00b82aa23ce94p-2", "0x1.00a882cc09b2dp-2", "0x1.00899a25f3c0ap-2",
+        "0x1.fa385490bc6d5p-3", "0x1.012955b9a63d3p-2", "0x1.00f48001ff326p-2",
+        "0x1.00c5fffbfc59dp-2", "0x1.f845859345321p-3", "0x1.019f7f075e2f7p-2",
+        "0x1.013df597a50dap-2", "0x1.00ffc8975a29fp-2", "0x1.f63a288ce41e0p-3",
+        "0x1.0241ecb710e84p-2", "0x1.017770e276837p-2", "0x1.01298e2006854p-2",
+        "0x1.f411b4fb12be2p-3", "0x1.031922187a896p-2", "0x1.019dcca3c3738p-2",
+        "0x1.014036c638a40p-2", "0x1.f18995e88e2aap-3", "0x1.0491799e616c6p-2",
+        "0x1.018b6573bfa7bp-2", "0x1.011e55f997d6ap-2",
+    ],
+    "latencies": [
+        "0x1.2c8d2d213ff6dp-2", "0x1.3165492f59819p-2", "0x1.48d339e92b0fcp-2",
+        "0x1.4f2bc703881e3p-2", "0x1.83b675f70fcd1p-2", "0x1.c4253457f2b35p-2",
+        "0x1.43ab82c45cbc2p-1", "0x1.43ab82c45cbc2p-1", "0x1.281c9f057f964p-2",
+        "0x1.281c9f057f964p-2", "0x1.281c9f057f964p-2", "0x1.281c9f057f964p-2",
+        "0x1.281c9f057f964p-2", "0x1.281c9f057f964p-2", "0x1.281c9f057f964p-2",
+        "0x1.281c9f057f964p-2", "0x1.1a68f3fe0c9e4p-2", "0x1.1a68f3fe0c9e4p-2",
+        "0x1.1a68f3fe0c9e4p-2", "0x1.1a68f3fe0c9e4p-2", "0x1.1a68f3fe0c9e4p-2",
+        "0x1.1a68f3fe0c9e4p-2", "0x1.1a68f3fe0c9e4p-2", "0x1.1a68f3fe0c9e4p-2",
+    ],
+    "prices": [
+        "0x1.7ff13e947c1e0p+0", "0x1.7ff0ffc3abd91p+0", "0x1.7ff0055c85c60p+0",
+        "0x1.7fefded68d96cp+0", "0x1.7fee64037b51ep+0", "0x1.7fed16a79bbc3p+0",
+        "0x1.7feae39ddb832p+0", "0x1.7ff2135d2f67bp+0", "0x1.7ff183cd95d77p+0",
+        "0x1.7ff18c03b1b30p+0", "0x1.7ff1b2b8c96e9p+0", "0x1.7ff1dd01c2b70p+0",
+        "0x1.7ff8b411beac8p+0", "0x1.7ff8b411beac8p+0", "0x1.7ff8b411beac8p+0",
+        "0x1.7ff8b411beac8p+0", "0x1.7ff2603650094p+0", "0x1.7ff28546cde6ep+0",
+        "0x1.7ff304d03a37ap+0", "0x1.7ff967a973b06p+0", "0x1.7ff967a973b06p+0",
+        "0x1.7ff967a973b06p+0", "0x1.7ff967a973b06p+0", "0x1.7ff967a973b06p+0",
+    ],
+}
+
+
+def _pinned_outputs(scn, out):
+    assignment = project_matching(out.matching, capacities(scn), scn.population,
+                                  scn.task.arrival_rate_per_user)
+    return {
+        "iterations": out.iterations,
+        "welfare": evaluate_matching(assignment, out.menus, scn).social_welfare.hex(),
+        "matching": [x.hex() for x in out.matching.probs.ravel().tolist()],
+        "latencies": [x.hex() for menu in out.menus for x in menu.latencies],
+        "prices": [x.hex() for menu in out.menus for x in menu.prices],
+    }
+
+
+def test_fixed_point_reproduces_its_recorded_outputs_bit_for_bit(default_outcome):
+    assert _pinned_outputs(default_scenario(), default_outcome) == _PINNED_DEFAULT
+    scn = default_scenario(seed=1, total_users=400)
+    assert _pinned_outputs(scn, run_fixed_point(scn)) == _PINNED_400_USERS_SEED_1
