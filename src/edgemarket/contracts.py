@@ -125,8 +125,8 @@ class UserTypePopulation:
         if not self.betas:
             raise DomainError("betas must be non-empty")
         for b in self.betas:
-            if not b > 0.0:
-                raise DomainError(f"betas must be strictly positive, got {b}")
+            if not 0.0 < b < math.inf:
+                raise DomainError(f"betas must be positive and finite, got {b}")
         for prev, cur in zip(self.betas, self.betas[1:]):
             if cur > prev:
                 raise DomainError("betas must be nonincreasing")
@@ -135,8 +135,10 @@ class UserTypePopulation:
                 raise DomainError(f"counts must be >= 0, got {c}")
         if not any(self.counts):
             raise DomainError("counts must include at least one positive entry")
-        if not self.alpha_worst > 0.0:
-            raise DomainError(f"alpha_worst must be > 0, got {self.alpha_worst}")
+        if not 0.0 < self.alpha_worst < math.inf:
+            raise DomainError(
+                f"alpha_worst must be positive and finite, got {self.alpha_worst}"
+            )
 
     @property
     def n_types(self) -> int:
@@ -479,9 +481,7 @@ def _term_argmin(
     return x if value_x < value_lo else lo
 
 
-def _block_argmin(
-    block: list[tuple[float, float, float, float]], lo: float, hi: float
-) -> float:
+def _block_argmin(block: Sequence[Sequence[float]], lo: float, hi: float) -> float:
     """Exact minimiser of a pooled block's summed terms on [lo, hi].
 
     The members' kinks split [lo, hi] into segments on which every term is
@@ -497,6 +497,7 @@ def _block_argmin(
     rounding from Python 3.12 on, which would move pooled latencies with the
     Python version.
     """
+    exp, log = math.exp, math.log
     slope0 = 0.0
     positive = False
     # (kink, w*eta*g, eta) for every member that decays somewhere.
@@ -506,12 +507,16 @@ def _block_argmin(
         if w > 0.0:
             positive = True
             if eta > 0.0 and g > 0.0:
-                curves.append((math.log(g) / eta if g > 1.0 else -math.inf,
+                curves.append((log(g) / eta if g > 1.0 else -math.inf,
                                w * eta * g, eta))
     if not positive:
         return lo
     curves.sort()
-    edges = [lo] + [k for k, _, _ in curves if lo < k < hi] + [hi]
+    edges = [lo]
+    for kink, _, _ in curves:
+        if lo < kink < hi:
+            edges.append(kink)
+    edges.append(hi)
     candidates = list(edges)
     # The members decaying on a segment are those with kink <= its left edge:
     # a prefix of the kink-sorted curves, which grows as the segments move right.
@@ -525,16 +530,20 @@ def _block_argmin(
             continue
         decay = 0.0
         for rate, eta in active:
-            decay += rate * math.exp(-eta * right)
+            decay += rate * exp(-eta * right)
         if slope0 - decay <= 0.0:
             continue
         # Each member alone has its root at ln(rate/A)/eta, left of the sum's.
-        x = max([left] + [math.log(rate / slope0) / eta for rate, eta in active
-                          if rate > slope0])
+        x = left
+        for rate, eta in active:
+            if rate > slope0:
+                root = log(rate / slope0) / eta
+                if root > x:
+                    x = root
         while x < right:
             slope, curvature = slope0, 0.0
             for rate, eta in active:
-                decay = rate * math.exp(-eta * x)
+                decay = rate * exp(-eta * x)
                 slope -= decay
                 curvature += eta * decay
             if slope >= 0.0 or not curvature > 0.0:
@@ -551,7 +560,7 @@ def _block_argmin(
         # a*x + w*min(1, g*exp(-eta*x)) summed over the members.
         value = 0.0
         for a, w, eta, g in block:
-            bound = g * math.exp(-eta * x)
+            bound = g * exp(-eta * x)
             value += a * x + w * (1.0 if bound > 1.0 else bound)
         if value < best_value:
             best, best_value = x, value
@@ -559,7 +568,7 @@ def _block_argmin(
 
 
 def _isotonic_minimize(
-    terms: list[tuple[float, float, float, float]],
+    terms: Sequence[Sequence[float]],
     argmins: list[float],
     lo: float,
     hi: float,
@@ -570,6 +579,11 @@ def _isotonic_minimize(
     pool-adjacent-violators: each one that undercuts the block before it is
     pooled into that block and the pooled sum is re-solved, so members of
     one block share an identical float.
+
+    No minimiser lies below lo, so a block at lo is never pooled again: it
+    leaves the stack at once, and a type at lo with no block before it costs
+    one comparison. The blocks left on the stack are adjacent and end at the
+    last type; every type before them is at lo.
     """
     starts: list[int] = []
     values: list[float] = []
@@ -579,12 +593,25 @@ def _isotonic_minimize(
             values.pop()
             start = starts.pop()
             value = _block_argmin(terms[start:n + 1], lo, hi)
-        starts.append(start)
-        values.append(value)
-    out: list[float] = []
+        if value != lo:
+            starts.append(start)
+            values.append(value)
+    out = [lo] * (starts[0] if starts else len(argmins))
     for start, stop, value in zip(starts, starts[1:] + [len(argmins)], values):
         out += [value] * (stop - start)
     return out
+
+
+class _ListedRows:
+    """One operator's (a, w, eta, g) terms as the rows of an N x 4 array,
+    sliced as lists of Python floats: the array pass lists only the blocks
+    that pool."""
+
+    def __init__(self, rows: np.ndarray) -> None:
+        self.rows = rows
+
+    def __getitem__(self, index: slice) -> list[list[float]]:
+        return self.rows[index].tolist()
 
 
 def _resolve_masses(
@@ -629,7 +656,7 @@ def _latency_terms(
     margin = spec.violation_cost - spec.refund
     return [
         (betas[n] * tail[n] - betas[n + 1] * tail[n + 1], masses[n] * margin, eta, g)
-        for n, (eta, g) in enumerate(profile.curves)
+        for n, (eta, g) in enumerate(zip(profile.eta.tolist(), profile.g.tolist()))
     ]
 
 
@@ -755,15 +782,16 @@ class MenuSolve:
 # every operator in one array pass; below it, operator by operator. The array
 # pass pays about 40 numpy calls whatever the size, the per-operator path a
 # fixed cost per operator. On the fixed point's final masses and profiles of
-# the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 15
-# alternating rounds) the array pass took 256 us against the per-operator
-# solve's 169 us at M x N = 3 x 8, 282 against 240 us at 3 x 12, 389 against
-# 359 us at 3 x 16, 396 against 402 us at 3 x 24 and 1 071 against 1 539 us
-# at 3 x 256. At M = 1 the two cross between 64 and 96 entries; at N = 8 the
-# array pass is 11% faster for M = 6 (48 entries) and 20% faster for M = 10.
-# No one gate fits every M; 48 sits between the crossovers.
+# the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 25
+# or 31 alternating rounds) the array pass took 222 us against the
+# per-operator solve's 154 us at M x N = 3 x 8, 333 against 287 us at 3 x 16,
+# 529 against 495 us at 3 x 20, 394 against 382 us at 3 x 24 and 762 against
+# 1 452 us at 3 x 256. At M = 1 the two cross near 80 entries; at M = 6 the
+# per-operator solve is 5% faster at 48 entries and 2% slower at 60, and at
+# M = 10 the array pass is 10% faster at 60. No one gate fits every M; 60 sits
+# between the crossovers.
 # `queueing._ARRAY_MIN_LANES` gates profile building the same way.
-_ARRAY_MIN_ENTRIES = 48
+_ARRAY_MIN_ENTRIES = 60
 
 
 def optimize_menus(
@@ -824,34 +852,39 @@ def optimize_menus(
         )
     # Rows without demand fall back to the population composition, as in
     # `_resolve_masses`.
-    masses[~masses.any(axis=1)] = population.counts
+    for m in np.flatnonzero(~masses.any(axis=1)):
+        masses[m] = population.counts
     eta = np.array([profile.eta for profile in profiles])
     g = np.array([profile.g for profile in profiles])
+    betas = np.array(population.betas)
     # `_latency_terms` for every operator; tail[:, n] = tail[:, n + 1] +
     # masses[:, n], summed right to left from 0.0.
     tail = np.zeros((n_ops, n_types + 1))
     tail[:, 1:] = masses[:, ::-1]
     tail = np.cumsum(tail, axis=1)[:, ::-1]
-    weighted = np.append(population.betas, 0.0) * tail
+    weighted = np.append(betas, 0.0) * tail
     a = weighted[:, :-1] - weighted[:, 1:]
     margin = np.array([spec.violation_cost - spec.refund for spec in specs])
     w = masses * margin[:, None]
-    argmins = _term_argmins(a, w, eta, g, lo, hi).tolist()
-    # Operator by operator, its (a, w, eta, g) terms type by type.
-    terms = [list(zip(*columns))
-             for columns in zip(a.tolist(), w.tolist(), eta.tolist(), g.tolist())]
+    # Every type's bound at lo: the closed forms compare against it, and the
+    # types the solve leaves at lo keep it as their violation.
+    at_lo = _bounds(eta, g, lo)
+    argmins = _term_argmins(a, w, eta, g, at_lo, lo, hi).tolist()
+    terms = np.stack((a, w, eta, g), axis=2)
     lats = np.array([
-        _isotonic_minimize(row_terms, row_argmins, lo, hi)
-        for row_terms, row_argmins in zip(terms, argmins)
+        _isotonic_minimize(_ListedRows(rows), row_argmins, lo, hi)
+        for rows, row_argmins in zip(terms, argmins)
     ])
-    viols = _bounds(eta, g, lats)
+    viols = at_lo.copy()
+    moved = lats != lo
+    viols[moved] = _bounds(eta[moved], g[moved], lats[moved])
     # `recover_rewards`: price n is price n - 1, less beta_n (L_n - L_{n-1}),
     # plus refund (v_n - v_{n-1}); one cumsum over the interleaved steps.
     refund = np.array([spec.refund for spec in specs])
     steps = np.empty((n_ops, 2 * n_types - 1))
     steps[:, 0] = (np.array([population.alpha_worst * spec.quality for spec in specs])
                    - population.betas[0] * lats[:, 0] + refund * viols[:, 0])
-    steps[:, 1::2] = -(np.asarray(population.betas[1:]) * np.diff(lats, axis=1))
+    steps[:, 1::2] = -(betas[1:] * np.diff(lats, axis=1))
     steps[:, 2::2] = refund[:, None] * np.diff(viols, axis=1)
     prices = np.cumsum(steps, axis=1)[:, ::2]
     # `menu_profit` per operator, summed left to right from 0.0.
@@ -872,7 +905,7 @@ def _log(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
-def _bounds(eta: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _bounds(eta: np.ndarray, g: np.ndarray, x: np.ndarray | float) -> np.ndarray:
     """min(1, g*exp(-eta*x)) per element, as `ViolationProfile.prob` reads it."""
     value = g * _exp(-eta * x)
     return np.where(value > 1.0, 1.0, value)
@@ -880,9 +913,10 @@ def _bounds(eta: np.ndarray, g: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _term_argmins(
     a: np.ndarray, w: np.ndarray, eta: np.ndarray, g: np.ndarray,
-    lo: float, hi: float,
+    at_lo: np.ndarray, lo: float, hi: float,
 ) -> np.ndarray:
-    """`_term_argmin` for every term (a, w, eta, g) of equal-shape arrays."""
+    """`_term_argmin` for every term (a, w, eta, g) of equal-shape arrays,
+    with at_lo = _bounds(eta, g, lo)."""
     out = np.full(a.shape, lo)
     # Terms that never decay, or whose kink lies at or past hi, keep lo.
     idx = np.flatnonzero((w > 0.0) & (eta > 0.0) & (g > 0.0))
@@ -899,7 +933,7 @@ def _term_argmins(
     x[rising] = np.minimum(
         np.maximum(_log(rate[rising] / a[rising]) / eta[rising], left[rising]), hi
     )
-    better = (a * x + w * _bounds(eta, g, x)) < (a * lo + w * _bounds(eta, g, lo))
+    better = (a * x + w * _bounds(eta, g, x)) < (a * lo + w * at_lo.ravel()[idx])
     np.put(out, idx[better], x[better])
     return out
 
@@ -975,12 +1009,14 @@ def social_welfare(
         np.array([menu.prices for menu in menus]),
         np.array(violations, dtype=float),
     ).tolist()
+    # Each type's task rate into every column, opt-out first.
+    served = np.asarray(population.counts, dtype=float)[:, None] * z * delta
     total = 0.0
-    for m, (menu, spec, viols) in enumerate(zip(menus, specs, violations)):
-        loads = [population.counts[n] * z[n, m + 1] * delta for n in range(n_types)]
+    for menu, spec, viols, loads, row in zip(menus, specs, violations,
+                                             served[:, 1:].T.tolist(), utilities):
         total += operator_utility(menu, loads, spec, viols)
-        for load, u in zip(loads, utilities[m]):
+        for load, u in zip(loads, row):
             total += load * u
-    for n in range(n_types):
-        total += population.counts[n] * z[n, 0] * delta * opt_out_utility
+    for load in served[:, 0].tolist():
+        total += load * opt_out_utility
     return total

@@ -223,19 +223,21 @@ def mixed_response(
     scores = np.empty((utils.shape[0], utils.shape[1] + 1))
     scores[:, 0] = opt_out_utility
     scores[:, 1:] = utils
-    scores /= temperature
-    scores -= scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
-    totals = weights.sum(axis=1, keepdims=True)
-    # Without a NaN score each row's largest weight is exp(0) = 1, so every
-    # total is at least 1 and the quotients form a matching (each in [0, 1],
-    # rows summing to 1 up to rounding). A NaN score, from a NaN utility or
-    # an infinite one after scaling, makes its row's total NaN.
-    if not totals.min(initial=1.0) >= 1.0:
+    # The largest magnitude over the temperature bounds every scaled score,
+    # and twice it every difference of two: where that is finite, no step
+    # below overflows or meets inf - inf. A NaN fails the test as well.
+    if not 2.0 * (float(np.abs(scores).max()) / temperature) < math.inf:
         raise DomainError(
             "adjusted utilities must be finite after dividing by the temperature"
         )
-    return _unchecked(MixedMatching, "probs", weights / totals)
+    scores /= temperature
+    scores -= scores.max(axis=1, keepdims=True)
+    weights = np.exp(scores)
+    # Each row's largest weight is exp(0) = 1, so every total is at least 1
+    # and the quotients form a matching (each in [0, 1], rows summing to 1 up
+    # to rounding).
+    return _unchecked(MixedMatching, "probs",
+                      weights / weights.sum(axis=1, keepdims=True))
 
 
 def damp(
@@ -569,21 +571,20 @@ def verify_selection_equilibrium(
 
     regrets = []
     blamed = []  # operator column (1-based) behind each type's regret
-    for n in range(pop.n_types):
-        matched = np.argmax(a[n])
+    for matched, row in zip(a.argmax(axis=1).tolist(), utilities.tolist()):
         if matched == 0:
             regrets.append(0.0)
             blamed.append(0)
             continue
-        achieved = utilities[n, matched - 1]
-        rival_best, rival = -math.inf, int(matched)
-        for m in range(len(menus)):
-            if m != matched - 1 and utilities[n, m] > rival_best:
-                rival_best, rival = utilities[n, m], m + 1
+        achieved = row[matched - 1]
+        rival_best, rival = -math.inf, matched
+        for m, utility in enumerate(row):
+            if m != matched - 1 and utility > rival_best:
+                rival_best, rival = utility, m + 1
         # IR shortfalls blame the matched operator itself
         if -achieved > rival_best - achieved:
             regrets.append(max(-achieved, 0.0))
-            blamed.append(int(matched))
+            blamed.append(matched)
         else:
             regrets.append(max(rival_best - achieved, 0.0))
             blamed.append(rival)
@@ -595,7 +596,7 @@ def verify_selection_equilibrium(
     for m, (spec, profile) in enumerate(zip(scenario.operators, profiles)):
         current = menu_objective(menus[m].latencies, pop, spec, demand[m], profile)
         gains.append(improved[m] - current)
-        op_utils.append(operator_utility(menus[m], demand[m], spec, viols[m]))
+        op_utils.append(operator_utility(menus[m], demand[m].tolist(), spec, viols[m]))
 
     gain_ratios = [
         g / abs(u) if abs(u) > 0.0 else (0.0 if g <= 0.0 else math.inf)
@@ -641,8 +642,9 @@ def evaluate_matching(
     loads = np.asarray(pop.counts, dtype=float)[:, None] * matching.probs[:, 1:] * delta
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
     per_op = [
-        operator_utility(menu, loads[:, m], spec, viols[m])
-        for m, (menu, spec) in enumerate(zip(menus, scenario.operators))
+        operator_utility(menu, op_loads, spec, op_viols)
+        for menu, op_loads, spec, op_viols in zip(
+            menus, loads.T.tolist(), scenario.operators, viols)
     ]
     welfare = social_welfare(
         menus, matching.probs, pop, task, scenario.operators, viols,

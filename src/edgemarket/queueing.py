@@ -14,8 +14,8 @@ operators and every priority-class load it computes eta, the excess
 capacities, the wait probabilities and g in one numpy pass. The table checks
 the stages once and holds their per-stage constants, so a caller that builds
 many profiles for one market builds it once. `erlang_c`'s float operations
-after its input checks are `_erlang_c_lane`; `build_profiles` runs it per
-distinct (operator, stage, load) lane on small calls and, from
+after its input checks are `_erlang_c_lane`; `build_profiles` runs it once per
+run of equal loads of an operator and stage, per lane on small calls and, from
 _ARRAY_MIN_LANES (operator, stage, type) triples on, `_erlang_c_lanes`, which
 runs the same float operations in the same order over arrays. Both return
 `erlang_c`'s floats bit for bit, so every profile equals the scalar
@@ -215,7 +215,9 @@ def _bd0(x: float, m: float) -> float:
 
 
 # Series terms taken per numpy pass in `_erlang_c_lanes`: its temporaries are
-# (lanes still summing) x (_BLOCK + 1) floats.
+# (_BLOCK + 1) x (lanes still summing) floats. The tail ratio's lanes that
+# outlast a block are those near capacity, whose terms shrink slowest, so its
+# later blocks widen by half a block each.
 _BLOCK = 16
 
 
@@ -232,8 +234,8 @@ def _erlang_c_lanes(
     lane runs the scalar code's float operations in its order: elementwise
     numpy arithmetic rounds as Python floats do, `math.log` and `math.exp`
     run per lane (`np.exp` differs from `math.exp` in the last bit on some
-    arguments), and the two series are sequential `cumprod`/`cumsum` passes
-    that stop each lane at the index the scalar loop stops at.
+    arguments), and the two series advance every lane by one term per numpy
+    call, stopping each lane at the index the scalar loop stops at.
     """
     bd0 = np.empty_like(offered)
     series = offered > 0.5 * c
@@ -244,13 +246,27 @@ def _erlang_c_lanes(
     bd0[series] = _bd0_lanes(c[series], offered[series])
     log_pmf = -stirlerr - bd0
     pmf = np.fromiter(map(math.exp, log_pmf.tolist()), float, log_pmf.size) / root
-    out = np.zeros_like(offered)
-    live = pmf > 0.0  # where the pmf underflows the result is exactly 0.0
-    c, offered, pmf = c[live], offered[live], pmf[live]
+    # Where the pmf underflows, blocking and the result are exactly 0.0, the
+    # scalar code's early return.
     blocking = pmf / (1.0 - pmf * _tail_ratio_lanes(c, offered, pmf))
     idle = (c - offered) / c
-    out[live] = blocking / (blocking + idle * (1.0 - blocking))
-    return out
+    return blocking / (blocking + idle * (1.0 - blocking))
+
+
+# A block holds one row per term and one column per lane, and its running
+# products and sums advance one row per numpy call over every lane:
+# `np.cumprod`/`np.cumsum` along a short axis cost several times as much per
+# element. Both add left to right, as the scalar loops do.
+def _cumprod_rows(block: np.ndarray) -> None:
+    rows = list(block)
+    for before, row in zip(rows, rows[1:]):
+        np.multiply(before, row, out=row)
+
+
+def _cumsum_rows(block: np.ndarray) -> None:
+    rows = list(block)
+    for before, row in zip(rows, rows[1:]):
+        np.add(before, row, out=row)
 
 
 def _bd0_lanes(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -261,23 +277,24 @@ def _bd0_lanes(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     v = v * v
     out = np.empty_like(x)
     lanes = np.arange(x.size)
-    j = 1
+    j = 1.0
     while lanes.size:
-        # Column k of `ejs` is ej after k more factors v; column k of `sums`
-        # is s after k more terms, both accumulated left to right.
-        ejs = np.empty((lanes.size, _BLOCK + 1))
-        ejs[:, 0] = ej
-        ejs[:, 1:] = v[:, None]
-        ejs = np.cumprod(ejs, axis=1)
+        # Row k of `ejs` is ej after k more factors v; row k of `sums` is s
+        # after k more terms ej / (2 j + 1).
+        ejs = np.empty((_BLOCK + 1, lanes.size))
+        ejs[0] = ej
+        ejs[1:] = v
+        _cumprod_rows(ejs)
         sums = np.empty_like(ejs)
-        sums[:, 0] = s
-        sums[:, 1:] = ejs[:, 1:] / (2.0 * np.arange(j, j + _BLOCK) + 1.0)
-        sums = np.cumsum(sums, axis=1)
-        stop = sums[:, 1:] == sums[:, :-1]
-        done = stop.any(axis=1)
-        out[lanes[done]] = sums[done, stop[done].argmax(axis=1) + 1]
+        sums[0] = s
+        np.divide(ejs[1:], 2.0 * np.arange(j, j + _BLOCK)[:, None] + 1.0,
+                  out=sums[1:])
+        _cumsum_rows(sums)
+        stop = sums[1:] == sums[:-1]
+        done = stop.any(axis=0)
+        out[lanes[done]] = sums[stop[:, done].argmax(axis=0) + 1, done]
         more = ~done
-        lanes, s, ej, v = lanes[more], sums[more, -1], ejs[more, -1], v[more]
+        lanes, s, ej, v = lanes[more], sums[-1, more], ejs[-1, more], v[more]
         j += _BLOCK
     return out
 
@@ -285,30 +302,34 @@ def _bd0_lanes(x: np.ndarray, m: np.ndarray) -> np.ndarray:
 def _tail_ratio_lanes(
     c: np.ndarray, offered: np.ndarray, pmf: np.ndarray
 ) -> np.ndarray:
-    """`erlang_c`'s tail ratio S per lane, in blocks of _BLOCK terms."""
+    """`erlang_c`'s tail ratio S per lane, in blocks of _BLOCK terms and
+    more."""
     term = offered / (c + 1.0)
     out = term.copy()  # tail = term after the first term
     # Most lanes stop at the first term; only the rest enter the blocks.
     lanes = np.flatnonzero(pmf * term >= _EPS * (1.0 - pmf * term))
-    c, offered, pmf = c[lanes], offered[lanes], pmf[lanes, None]
-    term, tail = term[lanes], term[lanes]
-    k = 2.0  # the next term's index past c
+    c, offered, pmf = c[lanes], offered[lanes], pmf[lanes]
+    term = term[lanes]
+    tail = term
+    k, width = 2.0, _BLOCK  # the next term's index past c; terms per block
     while lanes.size:
-        terms = np.empty((lanes.size, _BLOCK + 1))
-        terms[:, 0] = term
-        terms[:, 1:] = offered[:, None] / (c[:, None] + np.arange(k, k + _BLOCK))
-        terms = np.cumprod(terms, axis=1)
-        tails = np.empty_like(terms)
-        tails[:, 0] = tail
-        tails[:, 1:] = terms[:, 1:]
-        tails = np.cumsum(tails, axis=1)
-        stop = pmf * terms[:, :-1] < _EPS * (1.0 - pmf * tails[:, :-1])
-        done = stop.any(axis=1)
-        out[lanes[done]] = tails[done, stop[done].argmax(axis=1)]
+        # Row i of `terms` is the term i factors offered / (c + k) later,
+        # row i of `tails` the tail i terms later.
+        terms = np.empty((width + 1, lanes.size))
+        terms[0] = term
+        np.divide(offered, c + np.arange(k, k + width)[:, None], out=terms[1:])
+        _cumprod_rows(terms)
+        tails = terms.copy()
+        tails[0] = tail
+        _cumsum_rows(tails)
+        stop = pmf * terms[:-1] < _EPS * (1.0 - pmf * tails[:-1])
+        done = stop.any(axis=0)
+        out[lanes[done]] = tails[stop[:, done].argmax(axis=0), done]
         more = ~done
         lanes, c, offered, pmf = lanes[more], c[more], offered[more], pmf[more]
-        term, tail = terms[more, -1], tails[more, -1]
-        k += _BLOCK
+        term, tail = terms[-1, more], tails[-1, more]
+        k += width
+        width += _BLOCK // 2
     return out
 
 
@@ -415,8 +436,7 @@ class ViolationProfile:
 
     A pinned type (some stage unstable at its load) has eta 0 and g 1, so its
     bound is 1 at every latency. Curves are read with `math.exp` on Python
-    floats, the arithmetic `violation_prob` does on a `ViolationModel`;
-    `curves` holds each type's (eta, g) as Python floats.
+    floats, the arithmetic `violation_prob` does on a `ViolationModel`.
     """
 
     eta: np.ndarray
@@ -433,12 +453,11 @@ class ViolationProfile:
         _check_curves(eta, g)
         eta.setflags(write=False)
         g.setflags(write=False)
-        self._hold(eta, g, tuple(zip(eta.tolist(), g.tolist())))
+        self._hold(eta, g)
 
-    def _hold(self, eta: np.ndarray, g: np.ndarray, curves: tuple) -> None:
+    def _hold(self, eta: np.ndarray, g: np.ndarray) -> None:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "g", g)
-        object.__setattr__(self, "curves", curves)
 
     @classmethod
     def _rows(cls, eta: np.ndarray, g: np.ndarray) -> list[ViolationProfile]:
@@ -447,30 +466,29 @@ class ViolationProfile:
         eta.setflags(write=False)
         g.setflags(write=False)
         profiles = []
-        for row_eta, row_g, curves in zip(eta, g, map(zip, eta.tolist(), g.tolist())):
+        for row_eta, row_g in zip(eta, g):
             profile = object.__new__(cls)
-            profile._hold(row_eta, row_g, tuple(curves))
+            profile._hold(row_eta, row_g)
             profiles.append(profile)
         return profiles
 
     def __len__(self) -> int:
-        return len(self.curves)
+        return len(self.eta)
 
     def prob(self, n: int, t: float) -> float:
         """Type n's violation bound at agreed latency t."""
-        eta, g = self.curves[n]
-        value = g * math.exp(-eta * t)
+        value = float(self.g[n]) * math.exp(-float(self.eta[n]) * t)
         return 1.0 if value > 1.0 else value
 
     def probs(self, latencies: Sequence[float]) -> list[float]:
         """Each type's bound at its own latency: type n at latencies[n]."""
-        if len(latencies) != len(self.curves):
+        if len(latencies) != len(self.eta):
             raise DomainError(
-                f"latencies must have {len(self.curves)} entries, one per type, "
+                f"latencies must have {len(self.eta)} entries, one per type, "
                 f"got {len(latencies)}"
             )
         out = []
-        for (eta, g), t in zip(self.curves, latencies):
+        for eta, g, t in zip(self.eta.tolist(), self.g.tolist(), latencies):
             value = g * math.exp(-eta * t)
             out.append(1.0 if value > 1.0 else value)
         return out
@@ -527,17 +545,18 @@ class StageTable:
 
 # Below this many (operator, stage, type) triples in a `build_profiles` call,
 # `_erlang_c_table` walks the loads as Python lists and runs `_erlang_c_lane`
-# per load that differs from the type before's; from it on, it sorts out the
-# distinct loads and runs `_erlang_c_lanes`, whose fixed cost of ~80 numpy
-# calls outweighs its lower per-lane cost on small calls. On the fixed point's final loads of the
-# default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 15
-# alternating rounds) a whole `build_profiles` call took 254 us on the list
-# path against 469 us on the array path at 72 triples (8 types), 305 against
-# 326 us at 144 (16 types), 348 against 331 us at 180 (20 types) and 2 067
-# against 928 us at 2 304 (256 types); at one operator, 432 against 450 us at
-# 144 triples and 570 against 479 us at 192. The paths cross near 170 triples.
+# per load that differs from the type before's; from it on, it runs those
+# same loads through `_erlang_c_lanes`, whose fixed cost of ~80 numpy calls
+# outweighs its lower per-lane cost on small calls. On the fixed point's final
+# loads of the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4;
+# best of 25 alternating rounds) a whole `build_profiles` call took 161 us on
+# the list path against 243 us on the array path at 72 triples (8 types), 223
+# against 264 us at 108 (12 types), 274 against 272 us at 144 (16 types), 329
+# against 292 us at 180 (20 types) and 2 137 against 707 us at 2 304 (256
+# types); at one operator, 360 against 336 us at 144 triples and 454 against
+# 353 us at 192. The paths cross near 144 triples.
 # `contracts._ARRAY_MIN_ENTRIES` gates the menu solve the same way.
-_ARRAY_MIN_LANES = 160
+_ARRAY_MIN_LANES = 144
 
 
 def build_profiles(
@@ -549,10 +568,9 @@ def build_profiles(
     operator m's stages carry, type by type. The float operations and their
     order are those of `chernoff_eta`, `StageTail.from_params`, `chernoff_g`
     and `erlang_c`, so every stable type's eta and g equal the scalar model's
-    bit for bit. Erlang-C runs once per distinct nonzero load of an operator
-    and stage (on small calls, once per run of equal loads, which for
-    cumulative loads is the same); a type some stage cannot carry is pinned
-    (eta 0, g 1).
+    bit for bit. Erlang-C runs once per run of equal nonzero loads of an
+    operator and stage, which for cumulative loads is once per distinct load;
+    a type some stage cannot carry is pinned (eta 0, g 1).
     """
     if not 0.0 < zeta < 1.0:
         raise DomainError(f"zeta must be in (0, 1), got {zeta}")
@@ -599,18 +617,19 @@ def _erlang_c_table(table: StageTable, lam: np.ndarray) -> np.ndarray:
     """Erlang-C as an M x S x N array: operator, stage, load.
 
     lam holds the M x N loads, each below its operator's smallest stage
-    capacity. Each operator's distinct nonzero loads become lanes, one per
+    capacity. Each run of equal nonzero loads in a row becomes one lane per
     stage; a zero load waits with probability 0. The table has checked every
     input `erlang_c` checks, so the lanes skip those checks and read the
     table's per-stage constants.
 
-    Below _ARRAY_MIN_LANES (operator, stage, type) triples the loads are
-    walked as Python lists, type by type: a load equal to the type before's
-    takes its wait, any other runs `_erlang_c_lane`, and one array is built
-    from the waits. Cumulative loads repeat only next to each other (where a
-    type adds no traffic), so each distinct load runs once. From the gate on
-    the distinct loads are found by sorting, run `_erlang_c_lanes` and are
-    scattered back by fancy indexing.
+    Cumulative loads repeat only next to each other (where a type adds no
+    traffic), so each distinct load runs once. Below _ARRAY_MIN_LANES
+    (operator, stage, type) triples the loads are walked as Python lists,
+    type by type: a load equal to the type before's takes its wait, any
+    other runs `_erlang_c_lane`, and one array is built from the waits. From
+    the gate on, the first load of each run becomes a lane of
+    `_erlang_c_lanes`, and every load reads its run's waits by one fancy
+    index.
     """
     n_ops, n_types = lam.shape
     n_stages = table.servers.shape[1]
@@ -627,26 +646,20 @@ def _erlang_c_table(table: StageTable, lam: np.ndarray) -> np.ndarray:
                                 if x > 0.0 else 0.0)
                     waits.append(wait)
         return np.array(waits).reshape(n_ops, n_stages, n_types)
-    order = np.argsort(lam, axis=1, kind="stable")
-    rows = np.arange(lam.shape[0])[:, None]
-    ranked = lam[rows, order]
-    # First occurrence of each distinct nonzero load in its sorted row.
-    first = np.empty(lam.shape, dtype=bool)
-    first[:, 0] = ranked[:, 0] > 0.0
-    first[:, 1:] = ranked[:, 1:] > ranked[:, :-1]
-    # Row k >= 1 of `waits` holds the k-th distinct load's lanes; row 0 is zero.
-    slot = np.where(ranked > 0.0, np.cumsum(first, axis=None).reshape(lam.shape), 0)
+    # First load of each run of equal nonzero loads, type by type.
+    first = lam > 0.0
+    first[:, 1:] &= lam[:, 1:] != lam[:, :-1]
+    # Row k >= 1 of `waits` holds the k-th run's lanes; row 0 is zero.
+    slot = np.where(lam > 0.0, np.cumsum(first, axis=None).reshape(lam.shape), 0)
     owner = np.nonzero(first)[0]
     # erlang_c's arrival_rate / unit_rate, lane by lane.
-    offered = ranked[first][:, None] / table.unit_rates[owner]
+    offered = lam[first][:, None] / table.unit_rates[owner]
     waits = np.zeros((owner.size + 1, n_stages))
     waits[1:] = _erlang_c_lanes(
         table.c[owner, :, 0].ravel(), offered.ravel(),
         table.stirlerr[owner].ravel(), table.root[owner].ravel(),
     ).reshape(offered.shape)
-    by_load = np.empty_like(slot)
-    by_load[rows, order] = slot
-    return waits[by_load].transpose(0, 2, 1)
+    return waits[slot].transpose(0, 2, 1)
 
 
 def sample_sojourn(params: StageParams, rng_seed: int, n: int) -> np.ndarray:

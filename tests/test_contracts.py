@@ -1,6 +1,7 @@
 """Contract menus: utilities, reward recovery, the screening check, the menu
 optimizer against brute-force oracles, and welfare accounting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,10 @@ from edgemarket import contracts
 from edgemarket.contracts import (
     SCREENING_TOL,
     StageResources,
+    _ListedRows,
     _block_argmin,
+    _bounds,
+    _isotonic_minimize,
     _latency_terms,
     _term_argmin,
     _term_argmins,
@@ -148,6 +152,20 @@ def test_violation_profile_rejects_bad_loads_and_lengths():
             StageTable(servers, rates)
     with pytest.raises(DomainError, match="one row per operator"):
         build_profiles(StageTable([(c,) * 3], [(mu,) * 3]), [[1.0], [2.0]], 0.9)
+
+
+def test_population_rejects_non_finite_betas():
+    pop = UserTypePopulation(betas=(2e-4, 1e-4), counts=(5, 5))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="betas must be positive and finite"):
+            dataclasses.replace(pop, betas=(bad, 1e-4))
+
+
+def test_population_rejects_non_finite_alpha_worst():
+    pop = UserTypePopulation(betas=(2e-4, 1e-4), counts=(5, 5))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="alpha_worst must be positive and finite"):
+            dataclasses.replace(pop, alpha_worst=bad)
 
 
 def test_population_rejects_increasing_betas():
@@ -723,9 +741,83 @@ def test_term_argmins_equal_the_scalar_closed_form():
                  np.exp(eta * rng.uniform(-0.5, 2.0, 200)).tolist())
     a, w, eta, g = (np.array(column) for column in zip(*terms))
     for hi in (HI, 0.05):
-        got = _term_argmins(a, w, eta, g, LO, hi)
+        got = _term_argmins(a, w, eta, g, _bounds(eta, g, LO), LO, hi)
         want = [_term_argmin(term, LO, hi) for term in terms]
         assert got.tobytes() == np.array(want).tobytes()
+
+
+def _reference_isotonic_minimize(terms, argmins, lo, hi):
+    """Pool-adjacent-violators as a plain stack loop: every block, one at lo
+    included, stays on the stack until the end."""
+    starts, values = [], []
+    for n, value in enumerate(argmins):
+        start = n
+        while values and value < values[-1]:
+            values.pop()
+            start = starts.pop()
+            value = _block_argmin(terms[start:n + 1], lo, hi)
+        starts.append(start)
+        values.append(value)
+    out = []
+    for start, stop, value in zip(starts, starts[1:] + [len(argmins)], values):
+        out += [value] * (stop - start)
+    return out
+
+
+def _pav_terms(rng, n, zero_share):
+    """A menu solve's n terms, each type without demand (w = 0, minimiser lo)
+    with probability zero_share; or, for zero_share None, n terms whose own
+    minimisers all lie above lo."""
+    if zero_share is None:
+        terms = []
+        while len(terms) < n:
+            term = golden_term(rng, HI, 1.0)
+            if _term_argmin(term, LO, HI) > LO:
+                terms.append(term)
+        return terms
+    pop = UserTypePopulation(
+        betas=tuple(np.sort(rng.uniform(1e-5, 5e-4, n))[::-1].tolist()),
+        counts=(1,) * n,
+    )
+    eta = rng.uniform(0.5, 40.0, n)
+    profile = ViolationProfile(eta=eta, g=np.exp(eta * rng.uniform(-0.5, 2.0, n)))
+    masses = rng.uniform(0.0, 30.0, n) * (rng.random(n) >= zero_share)
+    return _latency_terms(pop, SPEC, masses.tolist(), profile)
+
+
+def test_isotonic_minimize_equals_the_plain_stack_loop(monkeypatch):
+    # The solve drops blocks at lo from its stack; the plain loop keeps them.
+    # Seeded sequences of 1 to 300 types: long runs at lo with bumps that pool
+    # down to lo or stay above it, mixed demand, all at lo, and none at lo
+    # (up to 40 types: their blocks pool across the whole row).
+    # Both the per-operator form (a list of tuples) and the array form (rows
+    # of one array, listed per block) must return the plain loop's floats.
+    pooled = []
+
+    def spy(block, lo, hi):
+        pooled.append(_block_argmin(block, lo, hi))
+        return pooled[-1]
+
+    monkeypatch.setattr(contracts, "_block_argmin", spy)
+    rng = np.random.default_rng(83)
+    at_lo = {"all": 0, "none": 0}
+    for trial in range(40):
+        n = (1, 2, 300)[trial] if trial < 3 else int(rng.integers(1, 301))
+        zero_share = (0.95, 0.5, 0.0, 1.0, None)[trial % 5]
+        if zero_share is None:
+            n = min(n, 40)
+        terms = _pav_terms(rng, n, zero_share)
+        argmins = [_term_argmin(term, LO, HI) for term in terms]
+        at_lo["all"] += all(x == LO for x in argmins)
+        at_lo["none"] += all(x > LO for x in argmins)
+        want = np.array(_reference_isotonic_minimize(terms, argmins, LO, HI))
+        got = _isotonic_minimize(terms, argmins, LO, HI)
+        assert np.array(got).tobytes() == want.tobytes()
+        got = _isotonic_minimize(_ListedRows(np.array(terms)), argmins, LO, HI)
+        assert np.array(got).tobytes() == want.tobytes()
+    assert at_lo["all"] > 0 and at_lo["none"] > 0
+    # Pooled blocks both landed on lo and stayed above it.
+    assert LO in pooled and max(pooled) > LO
 
 
 def test_latency_bounds_must_be_ordered():

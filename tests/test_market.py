@@ -1,6 +1,7 @@
 """Market fixed point: elementary update steps, the annealed loop, projection
 to deterministic assignments, and the equilibrium audit."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from edgemarket import (
     run_fixed_point,
     verify_selection_equilibrium,
 )
-from edgemarket import contracts
+from edgemarket import contracts, experiments
 from edgemarket.market import (
     CongestionVector,
     anneal,
@@ -236,13 +237,17 @@ def test_congestion_vector_rejects_non_finite_entries():
 def test_mixed_response_rejects_nan_and_infinite_utilities():
     with pytest.raises(DomainError, match="finite"):
         mixed_response(np.array([[math.nan, 0.1], [0.2, 0.1]]), 0.0, 1.0)
-    # An infinite score, given or from dividing by the temperature, meets
-    # inf - inf in the softmax (numpy warns of both steps).
-    with np.errstate(invalid="ignore", over="ignore"):
-        for adjusted, temperature in ((np.array([[math.inf, 0.1]]), 1.0),
-                                      (np.array([[1e300, 0.1]]), 1e-300)):
-            with pytest.raises(DomainError, match="finite"):
-                mixed_response(adjusted, 0.0, temperature)
+    # An infinite score, given or from dividing by the temperature, is
+    # rejected before the softmax meets inf - inf: the error comes alone,
+    # without a numpy warning (the suite turns warnings into errors).
+    for adjusted, temperature in ((np.array([[math.inf, 0.1]]), 1.0),
+                                  (np.array([[-math.inf, 0.1]]), 1.0),
+                                  (np.array([[1e300, 0.1]]), 1e-300),
+                                  (np.array([[1e306, 0.1]]), 1e-6)):
+        with pytest.raises(DomainError, match="finite"):
+            mixed_response(adjusted, 0.0, temperature)
+    with pytest.raises(DomainError, match="finite"):
+        mixed_response(np.array([[0.1, 0.2]]), math.inf, 1.0)
 
 
 def test_single_operator_degenerates_quickly():
@@ -519,3 +524,24 @@ def test_fixed_point_reproduces_its_recorded_outputs_bit_for_bit(default_outcome
     assert _pinned_outputs(default_scenario(), default_outcome) == _PINNED_DEFAULT
     scn = default_scenario(seed=1, total_users=400)
     assert _pinned_outputs(scn, run_fixed_point(scn)) == _PINNED_400_USERS_SEED_1
+
+
+# The same outputs of a 256-type solve (the `types256` benchmark cell at seed
+# 57, which runs the array paths of the profile build and the menu solve),
+# recorded at the same point. Its 2 560 matching, latency and price floats are
+# pinned as the SHA-256 of their float.hex strings, joined by spaces.
+_PINNED_256_TYPES_SEED_57 = {
+    "iterations": 15,
+    "welfare": "0x1.5143e59cc3c16p+12",
+    "matching": "566004b90822575903f106f1d331be800958ea1ea71eb55b791fa892687b1761",
+    "latencies": "4262d815480e657ebd64cacd25ec029d3eea5684af33fdbb88080e23721b8e94",
+    "prices": "67ed8772927971ce48d3a04e1b429c0e6c3ff2278d8c41061e4c48cac21eedc9",
+}
+
+
+def test_256_type_fixed_point_reproduces_its_recorded_outputs_bit_for_bit():
+    scn = experiments.scenario_for_cell(default_scenario(), "num_types", 256, 57)
+    outputs = _pinned_outputs(scn, run_fixed_point(scn))
+    for key in ("matching", "latencies", "prices"):
+        outputs[key] = hashlib.sha256(" ".join(outputs[key]).encode()).hexdigest()
+    assert outputs == _PINNED_256_TYPES_SEED_57

@@ -20,7 +20,18 @@ from edgemarket import (
     stage_tail,
     violation_prob,
 )
-from edgemarket.queueing import _ARRAY_MIN_LANES, StageTable, StageTail, _erlang_c_table
+from edgemarket.queueing import (
+    _ARRAY_MIN_LANES,
+    _BLOCK,
+    _EPS,
+    StageTable,
+    StageTail,
+    _bd0,
+    _bd0_lanes,
+    _erlang_c_lanes,
+    _erlang_c_table,
+    _stirlerr,
+)
 
 
 def erlang_c_direct(c: int, a: float) -> float:
@@ -102,6 +113,59 @@ def test_array_erlang_c_equals_scalar_bit_for_bit():
             assert got == erlang_c(c, lam, mu), (c, mu, lam)
             zeros += got == 0.0
     assert zeros > 0
+
+
+def _series_terms(c: int, a: float) -> tuple[int, int]:
+    """How many terms erlang_c's scalar loops sum for c servers at offered
+    load a: the tail ratio's, and bd0's series (0 where it is not used)."""
+    bd0_terms = 0
+    if a > 0.5 * c:
+        v = (c - a) / (c + a)
+        s, ej, v = (c - a) * v, 2.0 * c * v, v * v
+        while True:
+            bd0_terms += 1
+            ej *= v
+            s1 = s + ej / (2 * bd0_terms + 1)
+            if s1 == s:
+                break
+            s = s1
+    pmf = math.exp(-_stirlerr(c) - _bd0(c, a)) / math.sqrt(2.0 * math.pi * c)
+    k, tail_terms = c + 1, 1
+    tail = term = a / k
+    while pmf * term >= _EPS * (1.0 - pmf * tail):
+        k, tail_terms = k + 1, tail_terms + 1
+        term *= a / k
+        tail += term
+    return tail_terms, bd0_terms
+
+
+def test_array_erlang_c_stops_lanes_at_the_block_edges():
+    # The tail ratio sums its first term before its blocks; the first block
+    # holds 16 more terms and the next 24, so lanes of 16 and 40 terms stop
+    # on a block's last row and lanes of 17 and 41 on the first row of the
+    # next. bd0's series fills exactly one block at 16 terms. Lanes with
+    # those counts, their neighbours and 32 to 34 terms, all in one call,
+    # must equal scalar erlang_c.
+    assert _BLOCK == 16
+    tail_wanted = {1, 2, 15, 16, 17, 18, 32, 33, 34, 39, 40, 41, 42}
+    bd0_wanted = {15, 16}
+    lanes = {}
+    for c in (4, 8, 16):
+        for i in range(1, 400):
+            tail_terms, bd0_terms = _series_terms(c, c * i / 400)
+            lanes.setdefault(("tail", tail_terms), (c, c * i / 400))
+            lanes.setdefault(("bd0", bd0_terms), (c, c * i / 400))
+    picked = [lanes[("tail", n)] for n in sorted(tail_wanted)]
+    picked += [lanes[("bd0", n)] for n in sorted(bd0_wanted)]
+    c = np.array([float(c) for c, _ in picked])
+    offered = np.array([a for _, a in picked])
+    got = _erlang_c_lanes(c, offered, np.array([_stirlerr(int(x)) for x in c]),
+                          np.sqrt(2.0 * math.pi * c))
+    want = [erlang_c(int(x), a, 1.0) for x, a in zip(c, offered)]
+    assert got.tobytes() == np.array(want).tobytes()
+    series = offered > 0.5 * c
+    assert _bd0_lanes(c[series], offered[series]).tobytes() == np.array(
+        [_bd0(x, a) for x, a in zip(c[series], offered[series])]).tobytes()
 
 
 def test_erlang_c_is_robust_across_accepted_regimes():
