@@ -9,10 +9,25 @@ isolate the coordination mechanism:
   once against the loads it actually attracted.
 - GSMC: deferred acceptance (types propose) under capacity quotas, with
   preferences read off the posted menus; one redesign after matching.
+
+Greedy selection prices an item at the load its operator would carry: one
+stage table per call gives each new (operator, load) its violation curve
+through the scalar Erlang-C lane (`violation_curve`), equal bit for bit to a
+checked `ViolationModel`, and loads met again are looked up. Deferred
+acceptance ranks both sides with one sort each and keeps each operator's held
+types in a heap keyed by its rank, so a rejection pops the held type the
+operator ranks lowest instead of scanning them all. MC, GSMC and OURS
+evaluate their assignment at the loads their redesign was solved at, so
+their totals come from that solve's violations, with no second profile
+build; CT, which is not redesigned, is evaluated from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,20 +38,22 @@ from edgemarket.contracts import (
     item_utility_rows,
     menu_from_obj,
     menu_to_obj,
-    stage_params_for,
-    user_utility,
+    stage_table,
 )
 from edgemarket.errors import DomainError
 from edgemarket.market import (
     MarketOutcome,
+    MatchingMetrics,
     capacities,
+    check_menus,
     evaluate_matching,
+    matching_totals,
     menus_for,
     profiles_at,
     project_matching,
     run_fixed_point,
 )
-from edgemarket.queueing import ViolationModel, ViolationProfile, violation_prob
+from edgemarket.queueing import ViolationProfile, violation_curve
 from edgemarket.scenario import Scenario
 
 METHODS = ("OURS", "CT", "MC", "GSMC")
@@ -97,101 +114,135 @@ def greedy_selection(
     (higher-priority traffic already placed plus its own), skipping operators
     it would overload; it opts out only when every affordable operator falls
     below the opt-out utility.
+
+    Each operator's violation curve at a new load comes from one stage table
+    (`violation_curve`, the scalar `ViolationModel`'s eta and g bit for bit),
+    and the utility is `user_utility`'s arithmetic.
     """
+    check_menus(menus, scenario)
     pop = scenario.population
-    task = scenario.task
     cfg = scenario.solver
-    delta = task.arrival_rate_per_user
-    n_ops = len(scenario.operators)
-    caps = capacities(scenario)
-    assigned = np.zeros(n_ops)
-    out = np.zeros((pop.n_types, n_ops + 1), dtype=int)
-    # (operator, load) -> its violation model, or None where a stage is
-    # overloaded; types that add no traffic meet the same loads again.
-    models: dict[tuple[int, float], ViolationModel | None] = {}
-    for n in range(pop.n_types):
-        traffic = pop.counts[n] * delta
-        best_m, best_u = None, None
-        for m, spec in enumerate(scenario.operators):
-            if assigned[m] + traffic > caps[m] + 1e-9:
+    delta = scenario.task.arrival_rate_per_user
+    specs = scenario.operators
+    n_ops = len(specs)
+    lanes = stage_table(specs, scenario.task).lanes
+    bars = [cap + 1e-9 for cap in capacities(scenario).tolist()]
+    worth = [pop.alpha_worst * spec.quality for spec in specs]
+    refunds = [spec.refund for spec in specs]
+    floor = cfg.opt_out_utility - _TIE_TOL
+    exp = math.exp
+    assigned = [0.0] * n_ops
+    # Per operator: load -> its (eta, g); types that add no traffic meet the
+    # same loads again.
+    curves: list[dict[float, tuple[float, float]]] = [{} for _ in specs]
+    # Row n: type n's item at every operator.
+    latency_rows = zip(*[menu.latencies for menu in menus])
+    price_rows = zip(*[menu.prices for menu in menus])
+    choices = []
+    for count, beta, latencies, prices in zip(pop.counts, pop.betas,
+                                              latency_rows, price_rows):
+        traffic = count * delta
+        best_m, best_u = -1, None
+        for m, (latency, price) in enumerate(zip(latencies, prices)):
+            load = assigned[m] + traffic
+            if load > bars[m]:
                 continue
-            latency = menus[m].latencies[n]
-            key = (m, float(assigned[m] + traffic))
-            if key not in models:
-                stages = stage_params_for(spec, task, key[1])
-                models[key] = (ViolationModel.from_stages(stages, cfg.zeta)
-                               if all(s.is_stable for s in stages) else None)
-            model = models[key]
-            if model is not None:
-                viol = violation_prob(model, latency)
+            seen = curves[m]
+            if load in seen:
+                eta, g = seen[load]
             else:
-                viol = 1.0  # an overloaded stage pins the bound, as in a profile
-            u = user_utility(latency, menus[m].prices[n], pop.betas[n],
-                             pop.alpha_worst, spec.quality, viol, spec.refund)
+                eta, g = seen[load] = violation_curve(lanes[m], load, cfg.zeta)
+            # An overloaded stage pins the curve (eta 0, g 1), so the bound is 1.
+            viol = g * exp(-eta * latency)
+            if not viol < 1.0:
+                viol = 1.0
+            u = worth[m] - beta * latency - price + refunds[m] * viol
             if best_u is None or u > best_u + _TIE_TOL:
                 best_m, best_u = m, u
-        if best_u is not None and best_u >= cfg.opt_out_utility - _TIE_TOL:
-            out[n, best_m + 1] = 1
+        if best_u is not None and best_u >= floor:
             assigned[best_m] += traffic
+            choices.append(best_m + 1)
         else:
-            out[n, 0] = 1
+            choices.append(0)
+    out = np.zeros((pop.n_types, n_ops + 1), dtype=int)
+    out[np.arange(pop.n_types), choices] = 1
     return out
 
 
 def redesign_at_assignment(
     scenario: Scenario, assignment: np.ndarray
-) -> tuple[tuple[ContractMenu, ...], np.ndarray]:
-    """Each operator re-solves once against the loads it was matched."""
+) -> tuple[MenuSolve, np.ndarray]:
+    """Each operator re-solves once against the loads it was matched.
+
+    Returns the menu solve and the M x N design loads, which are the
+    cumulative loads the assignment induces: the solve's violations are the
+    ones `evaluate_matching` reads for the new menus at this assignment.
+    """
     counts = np.asarray(scenario.population.counts, dtype=float)
     a = np.asarray(assignment, dtype=float)
     demand = (counts[:, None] * a[:, 1:] * scenario.task.arrival_rate_per_user).T
     design = np.cumsum(demand, axis=1)
-    menus = menus_for(scenario, demand, profiles_at(scenario, design)).menus()
-    return menus, design
+    return menus_for(scenario, demand, profiles_at(scenario, design)), design
 
 
-def _finish(
+def _result(
     name: str,
     scenario: Scenario,
     assignment: np.ndarray,
     menus: tuple[ContractMenu, ...],
     design_congestion: np.ndarray,
+    totals: MatchingMetrics,
     converged: bool = True,
     mixed: np.ndarray | None = None,
 ) -> BenchmarkResult:
-    m = evaluate_matching(assignment, menus, scenario)
     return BenchmarkResult(
         name=name,
         assignment=np.asarray(assignment, dtype=int),
         menus=menus,
         design_congestion=np.asarray(design_congestion, dtype=float),
-        total_operator_utility=m.total_operator_utility,
-        social_welfare=m.social_welfare,
+        total_operator_utility=totals.total_operator_utility,
+        social_welfare=totals.social_welfare,
         converged=converged,
         mixed_matching=mixed,
     )
+
+
+def _redesigned(
+    name: str,
+    scenario: Scenario,
+    assignment: np.ndarray,
+    converged: bool = True,
+    mixed: np.ndarray | None = None,
+) -> BenchmarkResult:
+    """The result of one redesign at the assignment, evaluated from that
+    solve: its design loads are the loads the assignment induces, so its
+    violations are the ones a fresh `evaluate_matching` would build."""
+    solve, design = redesign_at_assignment(scenario, assignment)
+    menus = solve.menus()
+    totals = matching_totals(np.asarray(assignment, dtype=float), menus, scenario,
+                             solve.violations.tolist())
+    return _result(name, scenario, assignment, menus, design, totals,
+                   converged, mixed)
 
 
 def run_ct(scenario: Scenario) -> BenchmarkResult:
     posted, design, _ = posted_menus(scenario)
     menus = posted.menus()
     assignment = greedy_selection(scenario, menus)
-    return _finish("CT", scenario, assignment, menus, design)
+    totals = evaluate_matching(assignment, menus, scenario)
+    return _result("CT", scenario, assignment, menus, design, totals)
 
 
 def run_mc(scenario: Scenario) -> BenchmarkResult:
     assignment = greedy_selection(scenario, posted_menus(scenario)[0].menus())
-    new_menus, design = redesign_at_assignment(scenario, assignment)
-    return _finish("MC", scenario, assignment, new_menus, design)
+    return _redesigned("MC", scenario, assignment)
 
 
 def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     """Deferred acceptance with user-count quotas, then one redesign."""
     pop = scenario.population
-    cfg = scenario.solver
     delta = scenario.task.arrival_rate_per_user
     specs = scenario.operators
-    n_ops = len(specs)
     posted = posted_menus(scenario)[0]
 
     # Preferences from the posted menus at their design congestion.
@@ -207,45 +258,73 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     # Quantize before ranking so summation noise cannot scramble ties.
     utilities = np.round(utilities / _TIE_TOL) * _TIE_TOL
     margins = np.round(margins / _TIE_TOL) * _TIE_TOL
-    type_prefs = []
-    for n in range(pop.n_types):
-        ranked = sorted(range(n_ops), key=lambda m: (-utilities[n, m], m))
-        type_prefs.append(
-            [m for m in ranked if utilities[n, m] >= cfg.opt_out_utility]
-        )
-    # rank[m][n]: position of type n in operator m's list (lower = preferred)
-    op_rank = []
-    for m in range(n_ops):
-        ranked = sorted(range(pop.n_types), key=lambda n: (-margins[m, n], n))
-        op_rank.append({n: i for i, n in enumerate(ranked)})
-
     quotas = [int(cap // delta) for cap in capacities(scenario)]
-    holds: list[set[int]] = [set() for _ in range(n_ops)]
+    assignment = deferred_acceptance(
+        utilities, margins, pop.counts, quotas, scenario.solver.opt_out_utility
+    )
+    return _redesigned("GSMC", scenario, assignment)
+
+
+def _ranked(keys: np.ndarray) -> np.ndarray:
+    """Each row's column indices by descending key, lower index first on ties."""
+    index = np.broadcast_to(np.arange(keys.shape[1]), keys.shape)
+    return np.lexsort((index, -keys), axis=1)
+
+
+def deferred_acceptance(
+    utilities: np.ndarray,
+    margins: np.ndarray,
+    counts: Sequence[int],
+    quotas: Sequence[int],
+    opt_out_utility: float,
+) -> np.ndarray:
+    """Type-proposing deferred acceptance under user-count quotas.
+
+    utilities[n, m] is type n's utility at operator m and margins[m, n]
+    operator m's margin from type n; both rank higher first, the lower index
+    first on ties. A type proposes to the operators it ranks at or above
+    opt_out_utility, in order; an operator over its quota rejects the held
+    type it ranks lowest until it fits. Ranks are unique per operator, so
+    each holds its types in a heap keyed by rank and a rejection pops the
+    heap's root. Returns the N x (M+1) 0/1 assignment, column 0 the opt-out.
+    """
+    n_types, n_ops = utilities.shape
+    acceptable = (utilities >= opt_out_utility).tolist()
+    type_prefs = [
+        [m for m in row if ok[m]]
+        for row, ok in zip(_ranked(utilities).tolist(), acceptable)
+    ]
+    # rank[m][n]: position of type n in operator m's list (lower = preferred)
+    rank = np.empty((n_ops, n_types), dtype=int)
+    np.put_along_axis(rank, _ranked(margins), np.arange(n_types)[None, :], axis=1)
+    rank = rank.tolist()
+
+    # holds[m]: (-rank, type) of every type operator m holds; its root is the
+    # held type operator m ranks lowest.
+    holds: list[list[tuple[int, int]]] = [[] for _ in range(n_ops)]
     held = [0] * n_ops  # users each operator holds, kept as holds change
-    next_choice = [0] * pop.n_types
-    free = list(range(pop.n_types))
+    next_choice = [0] * n_types
+    free = deque(range(n_types))
     while free:
-        n = free.pop(0)
-        if next_choice[n] >= len(type_prefs[n]):
+        n = free.popleft()
+        prefs = type_prefs[n]
+        if next_choice[n] >= len(prefs):
             continue  # exhausted every acceptable operator: opts out
-        m = type_prefs[n][next_choice[n]]
+        m = prefs[next_choice[n]]
         next_choice[n] += 1
-        holds[m].add(n)
-        held[m] += pop.counts[n]
+        heapq.heappush(holds[m], (-rank[m][n], n))
+        held[m] += counts[n]
         while held[m] > quotas[m]:
-            worst = max(holds[m], key=lambda j: op_rank[m][j])
-            holds[m].discard(worst)
-            held[m] -= pop.counts[worst]
+            _, worst = heapq.heappop(holds[m])
+            held[m] -= counts[worst]
             free.append(worst)
 
-    assignment = np.zeros((pop.n_types, n_ops + 1), dtype=int)
+    assignment = np.zeros((n_types, n_ops + 1), dtype=int)
     for m, members in enumerate(holds):
-        for n in members:
+        for _, n in members:
             assignment[n, m + 1] = 1
     assignment[assignment.sum(axis=1) == 0, 0] = 1
-
-    new_menus, design = redesign_at_assignment(scenario, assignment)
-    return _finish("GSMC", scenario, assignment, new_menus, design)
+    return assignment
 
 
 def run_ours(scenario: Scenario) -> tuple[BenchmarkResult, MarketOutcome]:
@@ -262,12 +341,8 @@ def run_ours(scenario: Scenario) -> tuple[BenchmarkResult, MarketOutcome]:
         outcome.matching, capacities(scenario), scenario.population,
         scenario.task.arrival_rate_per_user,
     )
-    menus, design = redesign_at_assignment(scenario, assignment)
-    result = _finish(
-        "OURS", scenario, assignment, menus, design,
-        converged=outcome.converged,
-        mixed=np.array(outcome.matching.probs),
-    )
+    result = _redesigned("OURS", scenario, assignment, converged=outcome.converged,
+                         mixed=np.array(outcome.matching.probs))
     return result, outcome
 
 

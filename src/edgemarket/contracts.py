@@ -286,10 +286,26 @@ def item_utility_rows(
     M x N latencies, prices and violations is operator m's menu (violations[m][n]
     the bound of type n's priority class at item n's latency), and row m of the
     result its types' utilities, in `user_utility`'s float operations."""
-    worth = np.array([population.alpha_worst * spec.quality for spec in specs])
-    refund = np.array([spec.refund for spec in specs])
-    return (worth[:, None] - np.asarray(population.betas) * latencies - prices
-            + refund[:, None] * violations)
+    return ItemUtilities(population, specs).rows(latencies, prices, violations)
+
+
+class ItemUtilities:
+    """`item_utility_rows` for one population and fleet, with the betas and
+    each operator's quality worth and refund converted once."""
+
+    def __init__(
+        self, population: UserTypePopulation, specs: Sequence[OperatorSpec]
+    ) -> None:
+        self.worth = np.array([population.alpha_worst * spec.quality
+                               for spec in specs])[:, None]
+        self.betas = np.asarray(population.betas)
+        self.refund = np.array([spec.refund for spec in specs])[:, None]
+
+    def rows(
+        self, latencies: np.ndarray, prices: np.ndarray, violations: np.ndarray
+    ) -> np.ndarray:
+        return (self.worth - self.betas * latencies - prices
+                + self.refund * violations)
 
 
 def operator_utility(
@@ -317,6 +333,14 @@ def recover_rewards(
     """Prices that bind participation at type 1 and each downward-adjacent
     incentive constraint exactly, given a nondecreasing latency schedule."""
     lats = [float(x) for x in latencies]
+    _check_schedule(lats, population, profile)
+    return _prices(lats, profile.probs(lats), population, quality, refund)
+
+
+def _check_schedule(
+    lats: list[float], population: UserTypePopulation, profile: ViolationProfile
+) -> None:
+    # `recover_rewards`' checks: one nondecreasing latency per profiled type.
     if len(lats) != population.n_types:
         raise DomainError(
             f"latencies must have {population.n_types} entries, got {len(lats)}"
@@ -325,7 +349,6 @@ def recover_rewards(
         if cur < prev:
             raise DomainError("latencies must be nondecreasing")
     _check_profile(profile, population.n_types)
-    return _prices(lats, profile.probs(lats), population, quality, refund)
 
 
 def _prices(
@@ -699,8 +722,12 @@ def menu_objective(
     used both by the optimizer's tests and by best-response audits.
     """
     lats = [float(x) for x in latencies]
-    prices = recover_rewards(lats, population, spec.quality, spec.refund, profile)
-    return menu_profit(prices, profile.probs(lats), population, spec, demand_masses)
+    _check_schedule(lats, population, profile)
+    # `recover_rewards` then `menu_profit`, with the violations evaluated once.
+    viols = profile.probs(lats)
+    prices = _prices(lats, viols, population, spec.quality, spec.refund)
+    return _profit(_resolve_masses(demand_masses, population), prices, viols,
+                   spec.violation_cost)
 
 
 def optimize_menu(
@@ -933,8 +960,15 @@ def _term_argmins(
     x[rising] = np.minimum(
         np.maximum(_log(rate[rising] / a[rising]) / eta[rising], left[rising]), hi
     )
-    better = (a * x + w * _bounds(eta, g, x)) < (a * lo + w * at_lo.ravel()[idx])
-    np.put(out, idx[better], x[better])
+    at_x = a * x
+    value_lo = a * lo + w * at_lo.ravel()[idx]
+    # w > 0 and a bound >= 0 make a*x a lower bound of the term at x, rounding
+    # included: where it already reaches the term at lo, x cannot win and its
+    # bound is not evaluated.
+    open_ = np.flatnonzero(at_x < value_lo)
+    better = ((at_x[open_] + w[open_] * _bounds(eta[open_], g[open_], x[open_]))
+              < value_lo[open_])
+    np.put(out, idx[open_[better]], x[open_[better]])
     return out
 
 

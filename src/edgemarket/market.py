@@ -17,6 +17,7 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
+    ItemUtilities,
     MenuSolve,
     OperatorSpec,
     TaskSpec,
@@ -203,7 +204,18 @@ def cumulative_load(
             f"{population.n_types} types"
         )
     counts = np.asarray(population.counts, dtype=float)
-    per_type = counts[:, None] * matching.probs[:, 1:] * delta  # N x M
+    return _cumulate(_type_traffic(counts[:, None], matching, delta))
+
+
+def _type_traffic(
+    counts: np.ndarray, matching: MixedMatching, delta: float
+) -> np.ndarray:
+    """Each type's task rate to every operator, N x M, from the N x 1 user
+    counts: (counts x probs) x delta, in that order."""
+    return counts * matching.probs[:, 1:] * delta
+
+
+def _cumulate(per_type: np.ndarray) -> CongestionVector:
     # A cumulative sum of a checked matching's terms: finite, nonnegative up
     # to the matching's 1e-12 tolerance, and nondecreasing.
     return _unchecked(CongestionVector, "loads", np.cumsum(per_type, axis=0).T)
@@ -272,7 +284,14 @@ def update_shadow_prices(
     if not (caps > 0.0).all():  # NaN fails this too
         raise DomainError("capacities must be > 0")
     counts = np.asarray(population.counts, dtype=float)
-    demand = (counts[:, None] * matching.probs[:, 1:] * delta).sum(axis=0)
+    demand = _type_traffic(counts[:, None], matching, delta).sum(axis=0)
+    return _price_step(prices, demand, caps, price_step)
+
+
+def _price_step(
+    prices: ShadowPrices, demand: np.ndarray, caps: np.ndarray, price_step: float
+) -> ShadowPrices:
+    """`update_shadow_prices` past its input checks, from each operator's demand."""
     omegas = np.maximum(0.0, prices.omegas + price_step * (demand - caps) / caps)
     # np.maximum keeps every price >= 0 and carries a NaN through.
     if not omegas.max(initial=0.0) < math.inf:
@@ -290,8 +309,12 @@ def demand_mass(
     if not 0.0 < floor < 1.0:
         raise DomainError(f"floor must be in (0, 1), got {floor}")
     counts = np.asarray(population.counts, dtype=float)
-    return (counts[:, None] * delta
-            * ((1.0 - floor) * matching.probs[:, 1:] + floor)).T
+    return _masses(counts[:, None] * delta, matching, floor)
+
+
+def _masses(traffic: np.ndarray, matching: MixedMatching, floor: float) -> np.ndarray:
+    """`demand_mass` past its input check, from the N x 1 per-type traffic."""
+    return (traffic * ((1.0 - floor) * matching.probs[:, 1:] + floor)).T
 
 
 def anneal(schedule: tuple[float, float], k: int, total: int) -> float:
@@ -338,10 +361,16 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     Non-convergence within max_iters is not an error: the iterate with the
     smallest matching residual is returned with converged=False.
 
-    The scenario, its stage table, the per-type traffic and the capacities
-    are checked or built once per solve. Each round checks the response
-    matching and the shadow prices it builds; the damped matching and the
-    cumulative loads are built from checked state without a second check.
+    The scenario, its stage table, the capacities and the per-type arrays the
+    user side reads (user counts, task rates, betas, each operator's quality
+    worth and refund) are checked or built once per solve. The scenario's
+    `SolverConfig` has checked the demand floor and the price step, so each
+    round runs the arithmetic of `cumulative_load`, `demand_mass` and
+    `update_shadow_prices` without their input checks; the per-type traffic of
+    a round's new matching prices its shadow step and gives the next round's
+    cumulative loads. Each round checks the response matching and the shadow
+    prices it builds; the damped matching and the cumulative loads are built
+    from checked state without a second check.
     """
     cfg = scenario.solver
     check_floor_feasible(scenario)
@@ -350,9 +379,11 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     n_types = pop.n_types
     delta = scenario.task.arrival_rate_per_user
     counts = np.asarray(pop.counts, dtype=float)
-    traffic = counts[:, None] * delta  # N x 1: each type's task rate
+    count_col = counts[:, None]
+    traffic = count_col * delta  # N x 1: each type's task rate
     caps = capacities(scenario)
     per_capacity = caps[None, :]
+    utility = ItemUtilities(pop, scenario.operators)
     # Every round's profiles come from one stage table.
     table = stage_table(scenario.operators, scenario.task)
 
@@ -364,6 +395,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     latencies = solve.latencies
     matching = MixedMatching.uniform(n_types, n_ops)
     prices = ShadowPrices.zeros(n_ops)
+    per_type = _type_traffic(count_col, matching, delta)
 
     user_side_ops = 0
     trace: list[IterationRecord] = []
@@ -383,8 +415,8 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         iterations = k
         temperature = anneal(cfg.temp_schedule, k, cfg.max_iters)
 
-        congestion = cumulative_load(matching, pop, delta)
-        masses = demand_mass(matching, pop, delta, cfg.demand_floor)
+        congestion = _cumulate(per_type)
+        masses = _masses(traffic, matching, cfg.demand_floor)
 
         solve = menus_for(scenario, masses,
                           build_profiles(table, congestion.loads, cfg.zeta))
@@ -392,16 +424,13 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
             after_best = (congestion, solve)
         menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
-        utilities = item_utility_rows(
-            pop, scenario.operators, solve.latencies, solve.prices, solve.violations
-        ).T
+        utilities = utility.rows(solve.latencies, solve.prices, solve.violations).T
         adjusted = utilities - prices.omegas[None, :] * traffic / per_capacity
         response = mixed_response(adjusted, cfg.opt_out_utility, temperature)
         new_matching = damp(matching, response, cfg.damping)
         matching_res = float(np.max(np.abs(new_matching.probs - matching.probs)))
-        prices = update_shadow_prices(
-            prices, new_matching, pop, delta, caps, cfg.price_step
-        )
+        per_type = _type_traffic(count_col, new_matching, delta)
+        prices = _price_step(prices, per_type.sum(axis=0), caps, cfg.price_step)
         user_side_ops += (
             congestion.loads.size + masses.size + adjusted.size
             + response.probs.size + new_matching.probs.size + prices.omegas.size
@@ -489,26 +518,28 @@ def project_matching(
             f"{population.n_types} types"
         )
     n_types, n_ops = matching.n_types, matching.n_operators
-    assigned = np.zeros(n_ops)
-    out = np.zeros((n_types, n_ops + 1), dtype=int)
-    for n in range(n_types):
-        row = matching.probs[n]
-        # opt-out ranks after every operator when probabilities tie
-        candidates = sorted(
-            range(n_ops + 1),
-            key=lambda c: (-row[c], n_ops + 1 if c == 0 else c),
-        )
-        traffic = population.counts[n] * delta
+    # Every row's options by probability, then operator index, with the
+    # opt-out (column 0) last among equals: one sort for the whole matrix.
+    tie_rank = np.arange(n_ops + 1)
+    tie_rank[0] = n_ops + 1
+    order = np.lexsort(
+        (np.broadcast_to(tie_rank, matching.probs.shape), -matching.probs), axis=1
+    )
+    assigned = [0.0] * n_ops
+    bars = [cap + 1e-9 for cap in caps.tolist()]
+    choices = []
+    for count, candidates in zip(population.counts, order.tolist()):
+        traffic = count * delta
         for c in candidates:
             if c == 0:
-                out[n, 0] = 1
                 break
-            if assigned[c - 1] + traffic <= caps[c - 1] + 1e-9:
-                assigned[c - 1] += traffic
-                out[n, c] = 1
+            load = assigned[c - 1] + traffic
+            if load <= bars[c - 1]:
+                assigned[c - 1] = load
                 break
-        else:
-            out[n, 0] = 1
+        choices.append(c)
+    out = np.zeros((n_types, n_ops + 1), dtype=int)
+    out[np.arange(n_types), choices] = 1
     return out
 
 
@@ -522,7 +553,7 @@ class EquilibriumReport:
     max_gain_ratio: float               # best-response gain / |operator utility|
 
 
-def _check_menus(menus: tuple[ContractMenu, ...], scenario: Scenario) -> None:
+def check_menus(menus: tuple[ContractMenu, ...], scenario: Scenario) -> None:
     """One menu per operator, with one item per type."""
     n_ops, n_types = scenario.n_operators, scenario.n_types
     if len(menus) < n_ops:
@@ -555,7 +586,7 @@ def verify_selection_equilibrium(
     induces) and over zero. Operator side: re-running the menu solve at the
     assignment's demand must not improve the objective materially.
     """
-    _check_menus(menus, scenario)
+    check_menus(menus, scenario)
     a = np.asarray(assignment, dtype=float)
     pop = scenario.population
     delta = scenario.task.arrival_rate_per_user
@@ -633,21 +664,35 @@ def evaluate_matching(
 ) -> MatchingMetrics:
     """Recompute utilities and welfare from first principles for any matching
     matrix (mixed or 0/1)."""
-    _check_menus(menus, scenario)
-    pop = scenario.population
-    task = scenario.task
-    delta = task.arrival_rate_per_user
+    check_menus(menus, scenario)
     matching = MixedMatching(np.asarray(matching_probs, dtype=float))
-    profiles = profiles_at(scenario, cumulative_load(matching, pop, delta).loads)
-    loads = np.asarray(pop.counts, dtype=float)[:, None] * matching.probs[:, 1:] * delta
+    loads = cumulative_load(
+        matching, scenario.population, scenario.task.arrival_rate_per_user
+    ).loads
+    profiles = profiles_at(scenario, loads)
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
+    return matching_totals(matching.probs, menus, scenario, viols)
+
+
+def matching_totals(
+    probs: np.ndarray,
+    menus: tuple[ContractMenu, ...],
+    scenario: Scenario,
+    violations: list[list[float]],
+) -> MatchingMetrics:
+    """`evaluate_matching`'s totals from the N x (M+1) matching matrix it has
+    checked and each operator's violations at its own items, at the loads the
+    matching induces (`violations[m][n]` for operator m's item n)."""
+    pop = scenario.population
+    delta = scenario.task.arrival_rate_per_user
+    loads = np.asarray(pop.counts, dtype=float)[:, None] * probs[:, 1:] * delta
     per_op = [
         operator_utility(menu, op_loads, spec, op_viols)
         for menu, op_loads, spec, op_viols in zip(
-            menus, loads.T.tolist(), scenario.operators, viols)
+            menus, loads.T.tolist(), scenario.operators, violations)
     ]
     welfare = social_welfare(
-        menus, matching.probs, pop, task, scenario.operators, viols,
+        menus, probs, pop, scenario.task, scenario.operators, violations,
         scenario.solver.opt_out_utility,
     )
     # Summed left to right from 0.0: builtin sum() compensates rounding from

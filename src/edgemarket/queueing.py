@@ -543,6 +543,43 @@ class StageTable:
         return self.servers.shape[0]
 
 
+def violation_curve(
+    stages: Sequence[tuple[int, float, float, float]], load: float, zeta: float
+) -> tuple[float, float]:
+    """`ViolationModel.from_stages`' (eta, g_product) for one operator's stages
+    carrying one load >= 0; pinned (eta 0, g 1) where some stage is unstable,
+    as in a profile.
+
+    stages is a `StageTable.lanes` row. The float operations and their order
+    are those of `chernoff_eta`, `StageTail.from_params`, `erlang_c` and
+    `chernoff_g`, and every check of theirs that a stable load can fail
+    raises the same `DomainError`, so `min(1, g * exp(-eta t))` equals
+    `violation_prob` on the scalar model bit for bit.
+    """
+    for c, mu, _, _ in stages:
+        if not load < c * mu:
+            return 0.0, 1.0
+    if not 0.0 < zeta < 1.0:
+        raise DomainError(f"zeta must be in (0, 1), got {zeta}")
+    eta = zeta * min([mu - load / c for c, mu, _, _ in stages])
+    if eta < 0.0:
+        raise DomainError(f"eta must be >= 0, got {eta}")
+    g = 1.0
+    for c, mu, stirlerr, root in stages:
+        r = c * mu - load
+        if abs(r - mu) < _DEGENERATE_REL_TOL * mu:
+            r = mu * (1.0 + _DEGENERATE_NUDGE)
+        if eta >= mu or eta >= r:
+            raise DomainError(
+                f"eta {eta} must stay below unit_rate {mu} and excess_capacity {r}"
+            )
+        p = _erlang_c_lane(c, load / mu, stirlerr, root) if load > 0.0 else 0.0
+        g *= ((1.0 - p) + p * r / (r - eta)) * mu / (mu - eta)
+    if not eta > 0.0:
+        raise DomainError(f"eta must be > 0, got {eta}")
+    return eta, g
+
+
 # Below this many (operator, stage, type) triples in a `build_profiles` call,
 # `_erlang_c_table` walks the loads as Python lists and runs `_erlang_c_lane`
 # per load that differs from the type before's; from it on, it runs those

@@ -739,6 +739,14 @@ def test_term_argmins_equal_the_scalar_closed_form():
     terms += zip(rng.uniform(0.0, 1e-2, 200).tolist(),
                  rng.uniform(-1.0, 1.0, 200).tolist(), eta.tolist(),
                  np.exp(eta * rng.uniform(-0.5, 2.0, 200)).tolist())
+    # Terms whose a*x equals their value at lo exactly, so the bound at x is
+    # skipped on the boundary: a = 0 with the bound underflowing at lo (x = hi,
+    # both values 0), and x = lo with w*bound below half an ulp of a*lo.
+    exact = [(0.0, 3.0, 1e6, 2.0), (1.0, 1e-30, 1.0, 0.5)]
+    for (ta, tw, teta, tg), x in zip(exact, (HI, LO)):
+        bound_lo = tg * math.exp(-teta * LO)
+        assert ta * x == ta * LO + tw * min(1.0, bound_lo)
+    terms += exact
     a, w, eta, g = (np.array(column) for column in zip(*terms))
     for hi in (HI, 0.05):
         got = _term_argmins(a, w, eta, g, _bounds(eta, g, LO), LO, hi)
