@@ -34,9 +34,8 @@ import numpy as np
 
 from edgemarket.contracts import (
     ContractMenu,
+    ItemUtilities,
     MenuSolve,
-    item_utility_rows,
-    menu_from_obj,
     menu_to_obj,
     stage_table,
 )
@@ -52,6 +51,7 @@ from edgemarket.market import (
     profiles_at,
     project_matching,
     run_fixed_point,
+    type_traffic,
 )
 from edgemarket.queueing import ViolationProfile, violation_curve
 from edgemarket.scenario import Scenario
@@ -178,9 +178,9 @@ def redesign_at_assignment(
     cumulative loads the assignment induces: the solve's violations are the
     ones `evaluate_matching` reads for the new menus at this assignment.
     """
-    counts = np.asarray(scenario.population.counts, dtype=float)
-    a = np.asarray(assignment, dtype=float)
-    demand = (counts[:, None] * a[:, 1:] * scenario.task.arrival_rate_per_user).T
+    demand = type_traffic(np.asarray(assignment, dtype=float),
+                          scenario.population.counts,
+                          scenario.task.arrival_rate_per_user).T
     design = np.cumsum(demand, axis=1)
     return menus_for(scenario, demand, profiles_at(scenario, design)), design
 
@@ -246,8 +246,8 @@ def run_gsmc(scenario: Scenario) -> BenchmarkResult:
     posted = posted_menus(scenario)[0]
 
     # Preferences from the posted menus at their design congestion.
-    utilities = item_utility_rows(
-        pop, specs, posted.latencies, posted.prices, posted.violations
+    utilities = ItemUtilities(pop, specs).rows(
+        posted.latencies, posted.prices, posted.violations
     ).T
     cost = np.array([spec.violation_cost for spec in specs])
     exec_cost = np.array([spec.exec_cost_per_task for spec in specs])
@@ -376,16 +376,3 @@ def result_to_obj(result: BenchmarkResult) -> dict:
         ]
     return obj
 
-
-def result_from_obj(obj: dict) -> BenchmarkResult:
-    mixed = obj.get("mixed_matching")
-    return BenchmarkResult(
-        name=obj["name"],
-        assignment=np.array(obj["assignment"], dtype=int),
-        menus=tuple(menu_from_obj(m) for m in obj["menus"]),
-        design_congestion=np.array(obj["design_congestion"], dtype=float),
-        total_operator_utility=float(obj["total_operator_utility"]),
-        social_welfare=float(obj["social_welfare"]),
-        converged=bool(obj.get("converged", True)),
-        mixed_matching=None if mixed is None else np.array(mixed, dtype=float),
-    )

@@ -25,7 +25,7 @@ returns the per-operator floats bit for bit.
 Two utility matrices answer the two questions asked of posted menus.
 `_utility_matrix` is one menu's N x N table u[n][j], type n's utility from
 item j, and answers the screening question: does every type prefer its own
-item and participate? `check_ic_ir` reads all of it. `item_utility_rows` is
+item and participate? `check_ic_ir` reads all of it. `ItemUtilities.rows` is
 the market's M x N table of each type's utility from its own item at each
 operator, and answers the selection question: which operator does a type
 prefer? The fixed point, the equilibrium audit, GSMC's preferences and
@@ -275,23 +275,13 @@ def user_utility(
     return alpha_worst * quality - beta * latency - price + refund * violation
 
 
-def item_utility_rows(
-    population: UserTypePopulation,
-    specs: Sequence[OperatorSpec],
-    latencies: np.ndarray,
-    prices: np.ndarray,
-    violations: np.ndarray,
-) -> np.ndarray:
-    """Each type's utility from its own item at every operator: row m of the
-    M x N latencies, prices and violations is operator m's menu (violations[m][n]
-    the bound of type n's priority class at item n's latency), and row m of the
-    result its types' utilities, in `user_utility`'s float operations."""
-    return ItemUtilities(population, specs).rows(latencies, prices, violations)
-
-
 class ItemUtilities:
-    """`item_utility_rows` for one population and fleet, with the betas and
-    each operator's quality worth and refund converted once."""
+    """Each type's utility from its own item at every operator, for one
+    population and fleet, with the betas and each operator's quality worth and
+    refund converted once. `rows` reads row m of the M x N latencies, prices
+    and violations as operator m's menu (violations[m][n] the bound of type
+    n's priority class at item n's latency) and returns row m as its types'
+    utilities, in `user_utility`'s float operations."""
 
     def __init__(
         self, population: UserTypePopulation, specs: Sequence[OperatorSpec]
@@ -1037,8 +1027,7 @@ def social_welfare(
             raise DomainError(
                 f"violations must have {n_types} entries per row, got {len(viols)}"
             )
-    utilities = item_utility_rows(
-        population, specs,
+    utilities = ItemUtilities(population, specs).rows(
         np.array([menu.latencies for menu in menus]),
         np.array([menu.prices for menu in menus]),
         np.array(violations, dtype=float),

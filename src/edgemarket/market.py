@@ -22,7 +22,6 @@ from edgemarket.contracts import (
     OperatorSpec,
     TaskSpec,
     UserTypePopulation,
-    item_utility_rows,
     menu_objective,
     operator_utility,
     optimize_menus,
@@ -46,16 +45,6 @@ def _frozen_array(values) -> np.ndarray:
     return arr
 
 
-def _unchecked(cls, field: str, array: np.ndarray):
-    """A one-array state type holding array (made read-only) in field,
-    without the type's checks: for values built from checked state in a way
-    that cannot fail them."""
-    array.setflags(write=False)
-    state = object.__new__(cls)
-    object.__setattr__(state, field, array)
-    return state
-
-
 @dataclass(frozen=True)
 class MixedMatching:
     """Row-stochastic N x (M+1) matrix; column 0 is the opt-out option."""
@@ -75,10 +64,6 @@ class MixedMatching:
         if not np.abs(arr.sum(axis=1) - 1.0).max(initial=0.0) <= 1e-9:
             raise DomainError("matching rows must sum to 1")
         object.__setattr__(self, "probs", arr)
-
-    @classmethod
-    def uniform(cls, n_types: int, n_operators: int) -> MixedMatching:
-        return cls(np.full((n_types, n_operators + 1), 1.0 / (n_operators + 1)))
 
     @property
     def n_types(self) -> int:
@@ -105,10 +90,6 @@ class ShadowPrices:
         if not _finite_nonnegative(arr):
             raise DomainError("omegas must be >= 0 and finite")
         object.__setattr__(self, "omegas", arr)
-
-    @classmethod
-    def zeros(cls, n_operators: int) -> ShadowPrices:
-        return cls(np.zeros(n_operators))
 
 
 @dataclass(frozen=True)
@@ -193,38 +174,33 @@ def menus_for(
     )
 
 
-def cumulative_load(
-    matching: MixedMatching, population: UserTypePopulation, delta: float
-) -> CongestionVector:
-    """Load each type's priority class carries: its own traffic plus all
-    higher-priority traffic routed to the same operator."""
-    if matching.n_types != population.n_types:
+def _check_rows(probs: np.ndarray, n_types: int) -> None:
+    if probs.shape[0] != n_types:
         raise DomainError(
-            f"matching has {matching.n_types} rows, population has "
-            f"{population.n_types} types"
+            f"matching has {probs.shape[0]} rows, population has {n_types} types"
         )
-    counts = np.asarray(population.counts, dtype=float)
-    return _cumulate(_type_traffic(counts[:, None], matching, delta))
 
 
-def _type_traffic(
-    counts: np.ndarray, matching: MixedMatching, delta: float
-) -> np.ndarray:
-    """Each type's task rate to every operator, N x M, from the N x 1 user
-    counts: (counts x probs) x delta, in that order."""
-    return counts * matching.probs[:, 1:] * delta
+def type_traffic(probs: np.ndarray, counts, delta: float) -> np.ndarray:
+    """Each type's task rate to every operator, N x M, from the N x (M+1)
+    matching matrix and the N user counts: (counts x probs) x delta, in that
+    order."""
+    counts = np.asarray(counts, dtype=float)
+    _check_rows(probs, counts.shape[0])
+    return counts[:, None] * probs[:, 1:] * delta
 
 
-def _cumulate(per_type: np.ndarray) -> CongestionVector:
-    # A cumulative sum of a checked matching's terms: finite, nonnegative up
-    # to the matching's 1e-12 tolerance, and nondecreasing.
-    return _unchecked(CongestionVector, "loads", np.cumsum(per_type, axis=0).T)
+def cumulative_load(per_type: np.ndarray) -> np.ndarray:
+    """M x N load each type's priority class carries: its own traffic plus all
+    higher-priority traffic routed to the same operator, from the N x M
+    per-type traffic."""
+    return np.cumsum(per_type, axis=0).T
 
 
 def mixed_response(
     adjusted: np.ndarray, opt_out_utility: float, temperature: float
-) -> MixedMatching:
-    """Softmax over opting out and each operator's adjusted utility."""
+) -> np.ndarray:
+    """N x (M+1) softmax over opting out and each operator's adjusted utility."""
     if not temperature > 0.0:
         raise DomainError(f"temperature must be > 0, got {temperature}")
     utils = np.asarray(adjusted, dtype=float)
@@ -248,73 +224,46 @@ def mixed_response(
     # Each row's largest weight is exp(0) = 1, so every total is at least 1
     # and the quotients form a matching (each in [0, 1], rows summing to 1 up
     # to rounding).
-    return _unchecked(MixedMatching, "probs",
-                      weights / weights.sum(axis=1, keepdims=True))
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
-def damp(
-    previous: MixedMatching, response: MixedMatching, damping: float
-) -> MixedMatching:
+def damp(previous: np.ndarray, response: np.ndarray, damping: float) -> np.ndarray:
+    """The N x (M+1) blend of the previous matching and the response."""
     if not 0.0 < damping <= 1.0:
         raise DomainError(f"damping must be in (0, 1], got {damping}")
-    if previous.probs.shape != response.probs.shape:
+    if previous.shape != response.shape:
         raise DomainError(
-            f"matching shapes differ: {previous.probs.shape} vs "
-            f"{response.probs.shape}"
+            f"matching shapes differ: {previous.shape} vs {response.shape}"
         )
-    # A convex combination of two checked matchings is one, up to rounding.
-    return _unchecked(
-        MixedMatching, "probs",
-        (1.0 - damping) * previous.probs + damping * response.probs,
-    )
+    return (1.0 - damping) * previous + damping * response
 
 
 def update_shadow_prices(
-    prices: ShadowPrices,
-    matching: MixedMatching,
-    population: UserTypePopulation,
-    delta: float,
+    omegas: np.ndarray,
+    demand: np.ndarray,
     capacities: np.ndarray,
     price_step: float,
-) -> ShadowPrices:
-    """Projected subgradient step on relative excess demand."""
+) -> np.ndarray:
+    """Projected subgradient step on each operator's relative excess demand."""
     if not price_step > 0.0:
         raise DomainError(f"price_step must be > 0, got {price_step}")
     caps = np.asarray(capacities, dtype=float)
     if not (caps > 0.0).all():  # NaN fails this too
         raise DomainError("capacities must be > 0")
-    counts = np.asarray(population.counts, dtype=float)
-    demand = _type_traffic(counts[:, None], matching, delta).sum(axis=0)
-    return _price_step(prices, demand, caps, price_step)
-
-
-def _price_step(
-    prices: ShadowPrices, demand: np.ndarray, caps: np.ndarray, price_step: float
-) -> ShadowPrices:
-    """`update_shadow_prices` past its input checks, from each operator's demand."""
-    omegas = np.maximum(0.0, prices.omegas + price_step * (demand - caps) / caps)
+    omegas = np.maximum(0.0, omegas + price_step * (demand - caps) / caps)
     # np.maximum keeps every price >= 0 and carries a NaN through.
     if not omegas.max(initial=0.0) < math.inf:
         raise DomainError("shadow prices must stay finite")
-    return _unchecked(ShadowPrices, "omegas", omegas)
+    return omegas
 
 
-def demand_mass(
-    matching: MixedMatching,
-    population: UserTypePopulation,
-    delta: float,
-    floor: float,
-) -> np.ndarray:
-    """Design demand per operator and type, never below the floor share."""
+def demand_mass(probs: np.ndarray, traffic: np.ndarray, floor: float) -> np.ndarray:
+    """M x N design demand per operator and type, never below the floor share,
+    from the N x (M+1) matching matrix and each type's task rate."""
     if not 0.0 < floor < 1.0:
         raise DomainError(f"floor must be in (0, 1), got {floor}")
-    counts = np.asarray(population.counts, dtype=float)
-    return _masses(counts[:, None] * delta, matching, floor)
-
-
-def _masses(traffic: np.ndarray, matching: MixedMatching, floor: float) -> np.ndarray:
-    """`demand_mass` past its input check, from the N x 1 per-type traffic."""
-    return (traffic * ((1.0 - floor) * matching.probs[:, 1:] + floor)).T
+    _check_rows(probs, traffic.shape[0])
+    return (traffic[:, None] * ((1.0 - floor) * probs[:, 1:] + floor)).T
 
 
 def anneal(schedule: tuple[float, float], k: int, total: int) -> float:
@@ -361,26 +310,20 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     Non-convergence within max_iters is not an error: the iterate with the
     smallest matching residual is returned with converged=False.
 
-    The scenario, its stage table, the capacities and the per-type arrays the
-    user side reads (user counts, task rates, betas, each operator's quality
-    worth and refund) are checked or built once per solve. The scenario's
-    `SolverConfig` has checked the demand floor and the price step, so each
-    round runs the arithmetic of `cumulative_load`, `demand_mass` and
-    `update_shadow_prices` without their input checks; the per-type traffic of
-    a round's new matching prices its shadow step and gives the next round's
-    cumulative loads. Each round checks the response matching and the shadow
-    prices it builds; the damped matching and the cumulative loads are built
-    from checked state without a second check.
+    The round's state is plain arrays: the matching matrix, the shadow prices
+    and each type's traffic to every operator, which prices the shadow step
+    and gives the next round's cumulative loads. The stage table, the
+    capacities and the per-type constants are built once per solve; the
+    checked `MixedMatching`, `ShadowPrices` and `CongestionVector` are built
+    once, for the returned outcome.
     """
     cfg = scenario.solver
     check_floor_feasible(scenario)
     pop = scenario.population
     n_ops = scenario.n_operators
-    n_types = pop.n_types
     delta = scenario.task.arrival_rate_per_user
     counts = np.asarray(pop.counts, dtype=float)
-    count_col = counts[:, None]
-    traffic = count_col * delta  # N x 1: each type's task rate
+    traffic = counts * delta  # each type's task rate
     caps = capacities(scenario)
     per_capacity = caps[None, :]
     utility = ItemUtilities(pop, scenario.operators)
@@ -393,9 +336,9 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     solve = menus_for(scenario, floor_masses,
                       build_profiles(table, floor_loads, cfg.zeta))
     latencies = solve.latencies
-    matching = MixedMatching.uniform(n_types, n_ops)
-    prices = ShadowPrices.zeros(n_ops)
-    per_type = _type_traffic(count_col, matching, delta)
+    probs = np.full((pop.n_types, n_ops + 1), 1.0 / (n_ops + 1))
+    omegas = np.zeros(n_ops)
+    per_type = type_traffic(probs, counts, delta)
 
     user_side_ops = 0
     trace: list[IterationRecord] = []
@@ -406,7 +349,7 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     converged = False
     iterations = 0
     best_residual = math.inf
-    best_state = (matching, prices)
+    best_state = (probs, omegas)
     best_round = 0
     # The loads and menu solve of the round that starts from the best iterate.
     after_best = None
@@ -415,43 +358,41 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         iterations = k
         temperature = anneal(cfg.temp_schedule, k, cfg.max_iters)
 
-        congestion = _cumulate(per_type)
-        masses = _masses(traffic, matching, cfg.demand_floor)
+        loads = cumulative_load(per_type)
+        masses = demand_mass(probs, traffic, cfg.demand_floor)
 
-        solve = menus_for(scenario, masses,
-                          build_profiles(table, congestion.loads, cfg.zeta))
+        solve = menus_for(scenario, masses, build_profiles(table, loads, cfg.zeta))
         if k == best_round + 1:
-            after_best = (congestion, solve)
+            after_best = (loads, solve)
         menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
         utilities = utility.rows(solve.latencies, solve.prices, solve.violations).T
-        adjusted = utilities - prices.omegas[None, :] * traffic / per_capacity
+        adjusted = utilities - omegas[None, :] * traffic[:, None] / per_capacity
         response = mixed_response(adjusted, cfg.opt_out_utility, temperature)
-        new_matching = damp(matching, response, cfg.damping)
-        matching_res = float(np.max(np.abs(new_matching.probs - matching.probs)))
-        per_type = _type_traffic(count_col, new_matching, delta)
-        prices = _price_step(prices, per_type.sum(axis=0), caps, cfg.price_step)
-        user_side_ops += (
-            congestion.loads.size + masses.size + adjusted.size
-            + response.probs.size + new_matching.probs.size + prices.omegas.size
-        )
+        new_probs = damp(probs, response, cfg.damping)
+        matching_res = float(np.max(np.abs(new_probs - probs)))
+        per_type = type_traffic(new_probs, counts, delta)
+        omegas = update_shadow_prices(omegas, per_type.sum(axis=0), caps,
+                                      cfg.price_step)
+        user_side_ops += (loads.size + masses.size + adjusted.size
+                          + response.size + new_probs.size + omegas.size)
 
         trace.append(IterationRecord(
             iteration=k,
             temperature=temperature,
             matching_residual=matching_res,
             menu_residual=menu_res,
-            shadow_prices=tuple(prices.omegas.tolist()),
+            shadow_prices=tuple(omegas.tolist()),
             objectives=tuple(solve.profits.tolist()),
         ))
         if keep_history:
-            history.append((solve.menus(), np.array(congestion.loads)))
+            history.append((solve.menus(), np.array(loads)))
 
         latencies = solve.latencies
-        matching = new_matching
+        probs = new_probs
         if matching_res < best_residual:
             best_residual = matching_res
-            best_state = (matching, prices)
+            best_state = (probs, omegas)
             best_round = k
         if matching_res < cfg.matching_tol and menu_res < cfg.menu_tol:
             converged = True
@@ -460,27 +401,26 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     # Final redesign against the returned matching's congestion, so the
     # returned menus are each operator's best response to it. When the best
     # iterate is returned and a later round started from it, that round has
-    # already made exactly this redesign.
+    # already made exactly this redesign; otherwise the returned matching is
+    # the last round's, whose per-type traffic is at hand.
     if not converged:
-        matching, prices = best_state
+        probs, omegas = best_state
     if not converged and best_round < iterations:
-        final_congestion, final_solve = after_best
+        final_loads, final_solve = after_best
     else:
-        final_congestion = cumulative_load(matching, pop, delta)
-        final_masses = demand_mass(matching, pop, delta, cfg.demand_floor)
-        final_solve = menus_for(
-            scenario, final_masses,
-            build_profiles(table, final_congestion.loads, cfg.zeta),
-        )
+        final_loads = cumulative_load(per_type)
+        final_masses = demand_mass(probs, traffic, cfg.demand_floor)
+        final_solve = menus_for(scenario, final_masses,
+                                build_profiles(table, final_loads, cfg.zeta))
     menus = final_solve.menus()
     if keep_history:
-        history.append((menus, np.array(final_congestion.loads)))
+        history.append((menus, np.array(final_loads)))
 
     return MarketOutcome(
         menus=menus,
-        matching=matching,
-        shadow_prices=prices,
-        congestion=final_congestion,
+        matching=MixedMatching(probs),
+        shadow_prices=ShadowPrices(omegas),
+        congestion=CongestionVector(final_loads),
         converged=converged,
         iterations=iterations,
         trace=tuple(trace),
@@ -512,11 +452,7 @@ def project_matching(
             f"matching has {matching.n_operators} operators, capacities has "
             f"{caps.shape[0]}"
         )
-    if matching.n_types != population.n_types:
-        raise DomainError(
-            f"matching has {matching.n_types} rows, population has "
-            f"{population.n_types} types"
-        )
+    _check_rows(matching.probs, population.n_types)
     n_types, n_ops = matching.n_types, matching.n_operators
     # Every row's options by probability, then operator index, with the
     # opt-out (column 0) last among equals: one sort for the whole matrix.
@@ -587,14 +523,12 @@ def verify_selection_equilibrium(
     assignment's demand must not improve the objective materially.
     """
     check_menus(menus, scenario)
-    a = np.asarray(assignment, dtype=float)
+    a = MixedMatching(np.asarray(assignment, dtype=float)).probs
     pop = scenario.population
-    delta = scenario.task.arrival_rate_per_user
-    congestion = cumulative_load(MixedMatching(a), pop, delta)
-    profiles = profiles_at(scenario, congestion.loads)
+    per_type = type_traffic(a, pop.counts, scenario.task.arrival_rate_per_user)
+    profiles = profiles_at(scenario, cumulative_load(per_type))
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
-    utilities = item_utility_rows(
-        pop, scenario.operators,
+    utilities = ItemUtilities(pop, scenario.operators).rows(
         np.array([menu.latencies for menu in menus]),
         np.array([menu.prices for menu in menus]),
         np.array(viols),
@@ -620,7 +554,7 @@ def verify_selection_equilibrium(
             regrets.append(max(rival_best - achieved, 0.0))
             blamed.append(rival)
 
-    demand = (np.asarray(pop.counts, dtype=float)[:, None] * a[:, 1:] * delta).T
+    demand = per_type.T
     # Each operator's profit from re-solving its menu at this demand.
     improved = menus_for(scenario, demand, profiles).profits.tolist()
     gains, op_utils = [], []
@@ -665,13 +599,12 @@ def evaluate_matching(
     """Recompute utilities and welfare from first principles for any matching
     matrix (mixed or 0/1)."""
     check_menus(menus, scenario)
-    matching = MixedMatching(np.asarray(matching_probs, dtype=float))
-    loads = cumulative_load(
-        matching, scenario.population, scenario.task.arrival_rate_per_user
-    ).loads
-    profiles = profiles_at(scenario, loads)
+    probs = MixedMatching(np.asarray(matching_probs, dtype=float)).probs
+    per_type = type_traffic(probs, scenario.population.counts,
+                            scenario.task.arrival_rate_per_user)
+    profiles = profiles_at(scenario, cumulative_load(per_type))
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
-    return matching_totals(matching.probs, menus, scenario, viols)
+    return matching_totals(probs, menus, scenario, viols)
 
 
 def matching_totals(
@@ -684,8 +617,7 @@ def matching_totals(
     checked and each operator's violations at its own items, at the loads the
     matching induces (`violations[m][n]` for operator m's item n)."""
     pop = scenario.population
-    delta = scenario.task.arrival_rate_per_user
-    loads = np.asarray(pop.counts, dtype=float)[:, None] * probs[:, 1:] * delta
+    loads = type_traffic(probs, pop.counts, scenario.task.arrival_rate_per_user)
     per_op = [
         operator_utility(menu, op_loads, spec, op_viols)
         for menu, op_loads, spec, op_viols in zip(

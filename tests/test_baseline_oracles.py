@@ -34,7 +34,7 @@ from edgemarket.benchmarks import (
     run_method,
     run_ours,
 )
-from edgemarket.contracts import item_utility_rows, stage_params_for, stage_table
+from edgemarket.contracts import ItemUtilities, stage_params_for, stage_table
 from edgemarket.market import (
     MixedMatching,
     capacities,
@@ -130,8 +130,8 @@ def reference_gsmc_assignment(scenario):
     delta = scenario.task.arrival_rate_per_user
     specs = scenario.operators
     posted = posted_menus(scenario)[0]
-    utilities = item_utility_rows(
-        pop, specs, posted.latencies, posted.prices, posted.violations
+    utilities = ItemUtilities(pop, specs).rows(
+        posted.latencies, posted.prices, posted.violations
     ).T
     cost = np.array([spec.violation_cost for spec in specs])
     exec_cost = np.array([spec.exec_cost_per_task for spec in specs])

@@ -26,12 +26,11 @@ from edgemarket.benchmarks import (
     METHODS,
     _TIE_TOL,
     posted_menus,
-    result_from_obj,
     result_to_obj,
     run_method,
     run_ours,
 )
-from edgemarket.contracts import SCREENING_TOL
+from edgemarket.contracts import SCREENING_TOL, menu_from_obj
 from edgemarket.market import evaluate_matching
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
@@ -287,19 +286,21 @@ def test_methods_are_deterministic(default_results):
 def test_result_serialization_round_trip(default_results):
     _, results = default_results
     for result in results.values():
-        back = result_from_obj(json.loads(json.dumps(result_to_obj(result))))
-        assert back.name == result.name
-        assert np.array_equal(back.assignment, result.assignment)
-        assert back.design_congestion == pytest.approx(result.design_congestion)
-        assert back.total_operator_utility == result.total_operator_utility
-        assert back.social_welfare == result.social_welfare
-        for a, b in zip(back.menus, result.menus):
-            assert a.latencies == b.latencies
-            assert a.prices == b.prices
+        back = json.loads(json.dumps(result_to_obj(result)))
+        assert back["name"] == result.name
+        assert np.array_equal(back["assignment"], result.assignment)
+        assert back["design_congestion"] == pytest.approx(result.design_congestion)
+        assert back["total_operator_utility"] == result.total_operator_utility
+        assert back["social_welfare"] == result.social_welfare
+        assert back["converged"] == result.converged
+        for a, b in zip(back["menus"], result.menus):
+            menu = menu_from_obj(a)
+            assert menu.latencies == b.latencies
+            assert menu.prices == b.prices
         if result.mixed_matching is None:
-            assert back.mixed_matching is None
+            assert "mixed_matching" not in back
         else:
-            assert np.array_equal(back.mixed_matching, result.mixed_matching)
+            assert np.array_equal(back["mixed_matching"], result.mixed_matching)
 
 
 def test_run_method_rejects_unknown_names():

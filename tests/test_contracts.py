@@ -28,6 +28,7 @@ from edgemarket import (
 from edgemarket import contracts
 from edgemarket.contracts import (
     SCREENING_TOL,
+    ItemUtilities,
     StageResources,
     _ListedRows,
     _block_argmin,
@@ -36,7 +37,6 @@ from edgemarket.contracts import (
     _latency_terms,
     _term_argmin,
     _term_argmins,
-    item_utility_rows,
     menu_from_obj,
     menu_profit,
     menu_to_obj,
@@ -657,8 +657,8 @@ def _random_market(rng, n_ops, n_types):
 
 def _assert_equals_per_operator_solve(pop, specs, masses, profiles, bounds):
     got = optimize_menus(pop, specs, masses, profiles, bounds)
-    utilities = item_utility_rows(pop, specs, got.latencies, got.prices,
-                                  got.violations)
+    utilities = ItemUtilities(pop, specs).rows(got.latencies, got.prices,
+                                               got.violations)
     for m, (spec, profile) in enumerate(zip(specs, profiles)):
         menu = optimize_menu_with_profile(pop, spec, masses[m], profile, bounds)
         viols = profile.probs(menu.latencies)

@@ -25,7 +25,7 @@ from edgemarket import (
     run_fixed_point,
     verify_selection_equilibrium,
 )
-from edgemarket import contracts, experiments
+from edgemarket import contracts, experiments, market
 from edgemarket.market import (
     CongestionVector,
     anneal,
@@ -37,6 +37,7 @@ from edgemarket.market import (
     menus_for,
     mixed_response,
     profiles_at,
+    type_traffic,
     update_shadow_prices,
 )
 
@@ -94,32 +95,42 @@ def test_effective_capacity_scales_with_servers():
 
 
 def test_cumulative_load_worked_example():
-    pop = UserTypePopulation(betas=(2e-4, 1e-4), counts=(10, 20))
-    matching = MixedMatching(np.array([[0.5, 0.5], [0.75, 0.25]]))
-    loads = cumulative_load(matching, pop, 24.0).loads
+    per_type = type_traffic(np.array([[0.5, 0.5], [0.75, 0.25]]), (10, 20), 24.0)
+    assert per_type == pytest.approx(np.array([[120.0], [120.0]]), rel=1e-12)
+    loads = cumulative_load(per_type)
     assert loads == pytest.approx(np.array([[120.0, 240.0]]), rel=1e-12)
 
 
 def test_cumulative_load_edge_cases():
-    pop = UserTypePopulation(betas=(2e-4, 1e-4), counts=(10, 20))
-    out = MixedMatching(np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
-    assert np.all(cumulative_load(out, pop, 24.0).loads == 0.0)
-    full = MixedMatching(np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]))
-    loads = cumulative_load(full, pop, 24.0).loads
+    out = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    assert np.all(cumulative_load(type_traffic(out, (10, 20), 24.0)) == 0.0)
+    full = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
+    loads = cumulative_load(type_traffic(full, (10, 20), 24.0))
     assert loads[0, -1] == pytest.approx(30 * 24.0, rel=1e-12)
     assert loads[1, -1] == 0.0
 
 
+def test_type_traffic_rejects_a_row_count_mismatch():
+    # One row would broadcast against every type's count.
+    for probs in (np.array([[0.0, 1.0]]), np.full((3, 2), 0.5)):
+        with pytest.raises(DomainError,
+                           match=f"matching has {len(probs)} rows, population "
+                                 "has 2 types"):
+            type_traffic(probs, (10, 20), 24.0)
+        with pytest.raises(DomainError, match="population has 2 types"):
+            demand_mass(probs, np.array([240.0, 480.0]), 0.05)
+
+
 def test_mixed_response_uniform_and_argmax():
     adj = np.zeros((2, 3))
-    probs = mixed_response(adj, 0.0, 1.0).probs
+    probs = mixed_response(adj, 0.0, 1.0)
     assert probs == pytest.approx(np.full((2, 4), 0.25), abs=1e-15)
 
     adj = np.array([[0.2, 0.9, 0.1]])
-    probs = mixed_response(adj, 0.0, 1e-4).probs
+    probs = mixed_response(adj, 0.0, 1e-4)
     assert probs[0, 2] == pytest.approx(1.0, abs=1e-12)
 
-    shifted = mixed_response(adj + 3.0, 3.0, 1e-4).probs
+    shifted = mixed_response(adj + 3.0, 3.0, 1e-4)
     assert shifted == pytest.approx(probs, abs=1e-12)
 
     with pytest.raises(DomainError):
@@ -127,57 +138,56 @@ def test_mixed_response_uniform_and_argmax():
 
 
 def test_damp_blending():
-    prev = MixedMatching(np.array([[0.5, 0.5], [0.5, 0.5]]))
-    resp = MixedMatching(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    assert np.array_equal(damp(prev, resp, 1.0).probs, resp.probs)
-    assert damp(prev, prev, 0.35).probs == pytest.approx(prev.probs, abs=0)
-    mixed = damp(prev, resp, 0.35).probs
+    prev = np.array([[0.5, 0.5], [0.5, 0.5]])
+    resp = np.array([[1.0, 0.0], [0.0, 1.0]])
+    assert np.array_equal(damp(prev, resp, 1.0), resp)
+    assert damp(prev, prev, 0.35) == pytest.approx(prev, abs=0)
+    mixed = damp(prev, resp, 0.35)
     assert np.all(mixed >= 0.0) and np.all(mixed <= 1.0)
     assert mixed[0, 0] == pytest.approx(0.65 * 0.5 + 0.35 * 1.0)
     with pytest.raises(DomainError):
-        damp(prev, MixedMatching(np.array([[0.5, 0.25, 0.25]])), 0.35)
+        damp(prev, np.array([[0.5, 0.25, 0.25]]), 0.35)
+    with pytest.raises(DomainError):
+        damp(prev, resp, 0.0)
 
 
 def test_update_shadow_prices_steps():
-    pop = UserTypePopulation(betas=(1e-4,), counts=(10,))
-    demand = 10 * 24.0
-    matched = MixedMatching(np.array([[0.0, 1.0]]))
+    demand = type_traffic(np.array([[0.0, 1.0]]), (10,), 24.0).sum(axis=0)
+    assert demand.tolist() == [10 * 24.0]
     # demand equal to capacity: no movement
-    w = update_shadow_prices(ShadowPrices(np.array([0.3])), matched, pop, 24.0,
-                             np.array([demand]), 0.5)
-    assert w.omegas[0] == pytest.approx(0.3, abs=1e-15)
+    w = update_shadow_prices(np.array([0.3]), demand, demand, 0.5)
+    assert w[0] == pytest.approx(0.3, abs=1e-15)
     # slack capacity: price pinned at zero
-    w = update_shadow_prices(ShadowPrices.zeros(1), matched, pop, 24.0,
-                             np.array([10 * demand]), 0.5)
-    assert w.omegas[0] == 0.0
+    w = update_shadow_prices(np.zeros(1), demand, 10 * demand, 0.5)
+    assert w[0] == 0.0
     # demand at twice capacity moves 0 -> price_step
-    w = update_shadow_prices(ShadowPrices.zeros(1), matched, pop, 24.0,
-                             np.array([demand / 2]), 0.5)
-    assert w.omegas[0] == pytest.approx(0.5)
+    w = update_shadow_prices(np.zeros(1), demand, demand / 2, 0.5)
+    assert w[0] == pytest.approx(0.5)
     with pytest.raises(DomainError):
-        update_shadow_prices(ShadowPrices.zeros(1), matched, pop, 24.0,
-                             np.array([demand]), 0.0)
+        update_shadow_prices(np.zeros(1), demand, demand, 0.0)
+    with pytest.raises(DomainError, match="capacities must be > 0"):
+        update_shadow_prices(np.zeros(1), demand, np.array([0.0]), 0.5)
 
 
 def test_demand_mass_floor_and_example():
-    pop = UserTypePopulation(betas=(2e-4, 1e-4), counts=(10, 20))
-    out = MixedMatching(np.array([[1.0, 0.0], [1.0, 0.0]]))
-    masses = demand_mass(out, pop, 24.0, 0.05)
+    traffic = np.array([10.0, 20.0]) * 24.0
+    out = np.array([[1.0, 0.0], [1.0, 0.0]])
+    masses = demand_mass(out, traffic, 0.05)
     assert masses == pytest.approx(np.array([[0.05 * 240.0, 0.05 * 480.0]]),
                                    rel=1e-12)
 
-    full = MixedMatching(np.array([[0.0, 1.0], [0.0, 1.0]]))
-    assert demand_mass(full, pop, 24.0, 0.05) == pytest.approx(
+    full = np.array([[0.0, 1.0], [0.0, 1.0]])
+    assert demand_mass(full, traffic, 0.05) == pytest.approx(
         np.array([[240.0, 480.0]])
     )
 
-    mixed = MixedMatching(np.array([[0.5, 0.5], [0.75, 0.25]]))
-    masses = demand_mass(mixed, pop, 24.0, 0.05)
+    mixed = np.array([[0.5, 0.5], [0.75, 0.25]])
+    masses = demand_mass(mixed, traffic, 0.05)
     assert masses[0, 0] == pytest.approx(126.0, rel=1e-12)
     assert masses[0, 1] == pytest.approx(138.0, rel=1e-12)
 
     with pytest.raises(DomainError):
-        demand_mass(full, pop, 24.0, 0.0)
+        demand_mass(full, traffic, 0.0)
 
 
 def test_anneal_schedule():
@@ -219,13 +229,10 @@ def test_shadow_prices_reject_non_finite_entries():
     for bad in (math.nan, math.inf):
         with pytest.raises(DomainError):
             ShadowPrices(np.array([bad, 0.1]))
-    # The price step builds prices from checked ones; an infinite step
-    # would make them infinite.
-    pop = UserTypePopulation(betas=(1e-4,), counts=(10,))
-    matched = MixedMatching(np.array([[0.0, 1.0]]))
+    # An infinite step would make the stepped prices infinite.
     with pytest.raises(DomainError, match="finite"):
-        update_shadow_prices(ShadowPrices.zeros(1), matched, pop, 24.0,
-                             np.array([100.0]), math.inf)
+        update_shadow_prices(np.zeros(1), np.array([240.0]), np.array([100.0]),
+                             math.inf)
 
 
 def test_congestion_vector_rejects_non_finite_entries():
@@ -257,8 +264,8 @@ def test_single_operator_degenerates_quickly():
     assert outcome.iterations <= 5
     # The returned menus are the best response to the returned matching:
     # designed at the realized congestion with floor-adjusted demand masses.
-    masses = demand_mass(outcome.matching, scn.population,
-                         TASK.arrival_rate_per_user, scn.solver.demand_floor)
+    traffic = np.asarray(scn.population.counts, float) * TASK.arrival_rate_per_user
+    masses = demand_mass(outcome.matching.probs, traffic, scn.solver.demand_floor)
     standalone = optimize_menu(
         scn.population, SPEC, TASK, masses[0], outcome.congestion.loads[0],
     )
@@ -295,8 +302,8 @@ def test_default_run_trace_is_consistent(default_outcome):
 def test_default_run_congestion_matches_matching(default_outcome):
     out = default_outcome
     scn = default_scenario()
-    loads = cumulative_load(out.matching, scn.population,
-                            scn.task.arrival_rate_per_user).loads
+    loads = cumulative_load(type_traffic(out.matching.probs, scn.population.counts,
+                                         scn.task.arrival_rate_per_user))
     assert out.congestion.loads == pytest.approx(loads, rel=1e-12)
     metrics = evaluate_matching(out.matching.probs, out.menus, scn)
     assert metrics.total_operator_utility == pytest.approx(
@@ -403,6 +410,65 @@ def test_evaluators_reject_menus_that_do_not_fit_the_scenario(case):
         verify_selection_equilibrium(assignment, menus, scn)
 
 
+@pytest.mark.parametrize("rows", [1, 7, 9])
+def test_evaluators_reject_assignments_with_the_wrong_row_count(
+    default_outcome, rows
+):
+    # A 1-row assignment is a valid matching matrix, and its one row would
+    # broadcast against all 8 types' counts.
+    scn = default_scenario()
+    assignment = np.zeros((rows, scn.n_operators + 1), dtype=int)
+    assignment[:, 1] = 1
+    message = f"matching has {rows} rows, population has 8 types"
+    with pytest.raises(DomainError, match=message):
+        evaluate_matching(assignment, default_outcome.menus, scn)
+    with pytest.raises(DomainError, match=message):
+        verify_selection_equilibrium(assignment, default_outcome.menus, scn)
+
+
+_USER_SIDE = ("cumulative_load", "demand_mass", "mixed_response", "damp",
+              "update_shadow_prices")
+
+
+def _count_user_side_calls(monkeypatch, scn):
+    calls = dict.fromkeys(_USER_SIDE, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in _USER_SIDE:
+        monkeypatch.setattr(market, name, counted(name, getattr(market, name)))
+    return calls, run_fixed_point(scn)
+
+
+def test_each_round_calls_every_user_side_step_once(monkeypatch):
+    # A converged solve: one call per round, plus the final redesign's loads
+    # and masses.
+    calls, out = _count_user_side_calls(monkeypatch, default_scenario())
+    assert out.converged
+    k = out.iterations
+    assert calls == {"cumulative_load": k + 1, "demand_mass": k + 1,
+                     "mixed_response": k, "damp": k, "update_shadow_prices": k}
+    # The returned state is the checked, read-only types.
+    assert isinstance(out.matching, MixedMatching)
+    assert isinstance(out.shadow_prices, ShadowPrices)
+    assert isinstance(out.congestion, CongestionVector)
+    for arr in (out.matching.probs, out.shadow_prices.omegas, out.congestion.loads):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+    # An unconverged solve that returns an earlier best iterate reuses the
+    # round after it, so no final loads or masses are computed.
+    calls, out = _count_user_side_calls(monkeypatch,
+                                        default_scenario(seed=1, total_users=400))
+    assert not out.converged
+    assert calls == dict.fromkeys(_USER_SIDE, out.iterations)
+
+
 def test_unconverged_solve_reuses_the_round_after_its_best_iterate(monkeypatch):
     # At 400 users the fixed point stops at its iteration cap and returns its
     # best iterate, from which a later round started. The returned menus are
@@ -423,8 +489,9 @@ def test_unconverged_solve_reuses_the_round_after_its_best_iterate(monkeypatch):
     assert residuals.index(min(residuals)) + 1 < out.iterations
     assert len(solves) == scn.n_operators * (out.iterations + 1)
     pop, delta = scn.population, scn.task.arrival_rate_per_user
-    loads = cumulative_load(out.matching, pop, delta).loads
-    masses = demand_mass(out.matching, pop, delta, scn.solver.demand_floor)
+    loads = cumulative_load(type_traffic(out.matching.probs, pop.counts, delta))
+    masses = demand_mass(out.matching.probs, np.asarray(pop.counts, float) * delta,
+                         scn.solver.demand_floor)
     assert out.congestion.loads.tobytes() == loads.tobytes()
     assert out.menus == menus_for(scn, masses, profiles_at(scn, loads)).menus()
 
