@@ -171,18 +171,21 @@ def greedy_selection(
 
 def redesign_at_assignment(
     scenario: Scenario, assignment: np.ndarray
-) -> tuple[MenuSolve, np.ndarray]:
+) -> tuple[MenuSolve, np.ndarray, np.ndarray]:
     """Each operator re-solves once against the loads it was matched.
 
-    Returns the menu solve and the M x N design loads, which are the
-    cumulative loads the assignment induces: the solve's violations are the
-    ones `evaluate_matching` reads for the new menus at this assignment.
+    Returns the menu solve, the M x N design loads, which are the cumulative
+    loads the assignment induces, and the N x M per-type traffic they sum: the
+    solve's violations are the ones `evaluate_matching` reads for the new menus
+    at this assignment.
     """
-    demand = type_traffic(np.asarray(assignment, dtype=float),
-                          scenario.population.counts,
-                          scenario.task.arrival_rate_per_user).T
+    per_type = type_traffic(np.asarray(assignment, dtype=float),
+                            scenario.population.counts,
+                            scenario.task.arrival_rate_per_user)
+    demand = per_type.T
     design = np.cumsum(demand, axis=1)
-    return menus_for(scenario, demand, profiles_at(scenario, design)), design
+    solve = menus_for(scenario, demand, profiles_at(scenario, design))
+    return solve, design, per_type
 
 
 def _result(
@@ -217,10 +220,10 @@ def _redesigned(
     """The result of one redesign at the assignment, evaluated from that
     solve: its design loads are the loads the assignment induces, so its
     violations are the ones a fresh `evaluate_matching` would build."""
-    solve, design = redesign_at_assignment(scenario, assignment)
+    solve, design, per_type = redesign_at_assignment(scenario, assignment)
     menus = solve.menus()
-    totals = matching_totals(np.asarray(assignment, dtype=float), menus, scenario,
-                             solve.violations.tolist())
+    totals = matching_totals(np.asarray(assignment, dtype=float), per_type, menus,
+                             scenario, solve.violations.tolist())
     return _result(name, scenario, assignment, menus, design, totals,
                    converged, mixed)
 

@@ -23,10 +23,11 @@ profits over arrays, with the same float operations in the same order, so it
 returns the per-operator floats bit for bit.
 
 Two utility matrices answer the two questions asked of posted menus.
-`_utility_matrix` is one menu's N x N table u[n][j], type n's utility from
-item j, and answers the screening question: does every type prefer its own
-item and participate? `check_ic_ir` reads all of it. `ItemUtilities.rows` is
-the market's M x N table of each type's utility from its own item at each
+One menu's N x N table u[n][j], type n's utility from item j, answers the
+screening question: does every type prefer its own item and participate?
+`check_ic_ir` reads all of it, in blocks of whole rows of at most
+_SCREENING_BLOCK entries, and never holds the whole table. `ItemUtilities.rows`
+is the market's M x N table of each type's utility from its own item at each
 operator, and answers the selection question: which operator does a type
 prefer? The fixed point, the equilibrium audit, GSMC's preferences and
 `social_welfare` read it.
@@ -361,27 +362,6 @@ def _prices(
     return prices
 
 
-def _utility_matrix(
-    menu: ContractMenu,
-    population: UserTypePopulation,
-    quality: float,
-    refund: float,
-    profile: ViolationProfile,
-) -> list[list[float]]:
-    # u[n][j]: type n's utility from item j; the violation level belongs to the
-    # item (it is a property of the priority class serving it).
-    viols = profile.probs(menu.latencies)
-    items = list(zip(menu.latencies, menu.prices, viols))
-    return [
-        [
-            user_utility(lat, price, beta, population.alpha_worst, quality, viol,
-                         refund)
-            for lat, price, viol in items
-        ]
-        for beta in population.betas
-    ]
-
-
 # Slack below -SCREENING_TOL is a violated constraint.
 SCREENING_TOL = 1e-9
 
@@ -414,6 +394,27 @@ class ScreeningReport:
         return self.ic_slack >= -SCREENING_TOL and self.ir_slack >= -SCREENING_TOL
 
 
+# Entries of the type x item table `check_ic_ir` holds at a time, in whole rows:
+# its memory stays flat in N, while each numpy call still covers enough entries
+# to amortise its fixed cost.
+_SCREENING_BLOCK = 16384
+
+
+def _first_min(values: np.ndarray) -> int:
+    """Index of the first smallest entry, as a loop from values[0] that keeps
+    the first strict minimum finds it: np.argmin's, except that NaN is below
+    nothing, so a NaN after values[0] is passed over."""
+    k = int(values.argmin())  # argmin stops at the first NaN
+    if k and math.isnan(values[k]):
+        k = int(np.where(np.isnan(values), np.inf, values).argmin())
+    return k
+
+
+def _least(values: np.ndarray) -> float:
+    # builtin min(values, default=0.0) over an array
+    return float(values[_first_min(values)]) if values.size else 0.0
+
+
 def check_ic_ir(
     menu: ContractMenu,
     population: UserTypePopulation,
@@ -421,40 +422,61 @@ def check_ic_ir(
     refund: float,
     profile: ViolationProfile,
 ) -> ScreeningReport:
-    """Every incentive and participation slack of one menu, read off one
-    `_utility_matrix`."""
+    """Every incentive and participation slack of one menu.
+
+    Entry (n, j) of the type x item table is type n's utility from item j in
+    `user_utility`'s float operations, with item j's violation bound. The table
+    is read in blocks of whole rows of at most _SCREENING_BLOCK entries, so a
+    check costs O(N) memory. ic_pair is the first (type, item) in row-major
+    order that attains ic_slack, and ir_type the first type that attains
+    ir_slack."""
     if len(menu.latencies) != population.n_types:
         raise DomainError("menu length must match the number of types")
     _check_profile(profile, population.n_types)
-    u = _utility_matrix(menu, population, quality, refund, profile)
     n_types = population.n_types
+    worth = population.alpha_worst * quality
+    lats = np.array(menu.latencies, dtype=float)
+    prices = np.array(menu.prices, dtype=float)
+    refunds = refund * np.array(profile.probs(menu.latencies))
+    betas = np.array(population.betas, dtype=float)
+    rows = max(1, _SCREENING_BLOCK // n_types)
+    # buf[0] holds the worst slack so far, so _first_min moves off it only to a
+    # strictly smaller slack: blocks in row order then give the first strict
+    # minimum of one row-major loop.
+    buf = np.empty(1 + rows * n_types)
     ic_slack, ic_pair = math.inf, None
-    for n in range(n_types):
-        for j in range(n_types):
-            if j == n:
-                continue
-            slack = u[n][n] - u[n][j]
-            if slack < ic_slack:
-                ic_slack, ic_pair = slack, (n, j)
+    # Python floats overflow to inf, and inf - inf gives NaN, without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        own = worth - betas * lats - prices + refunds  # the table's diagonal
+        for r0 in range(0, n_types, rows):
+            r1 = min(r0 + rows, n_types)
+            view = buf[:1 + (r1 - r0) * n_types]
+            block = view[1:].reshape(r1 - r0, n_types)
+            np.multiply(betas[r0:r1, None], lats, out=block)
+            np.subtract(worth, block, out=block)
+            block -= prices
+            block += refunds
+            np.subtract(own[r0:r1, None], block, out=block)
+            view[1 + r0::n_types + 1] = math.inf  # (n, n) is no incentive constraint
+            view[0] = ic_slack
+            k = _first_min(view)
+            if k:
+                ic_slack = float(view[k])
+                ic_pair = (r0 + (k - 1) // n_types, (k - 1) % n_types)
+        down = own[1:] - (worth - betas[1:] * lats[:-1] - prices[:-1] + refunds[:-1])
+        up = own[:-1] - (worth - betas[:-1] * lats[1:] - prices[1:] + refunds[1:])
     if n_types == 1:
         ic_slack = 0.0
-    ir_slack, ir_type = min((u[n][n], n) for n in range(n_types))
-    lats = menu.latencies
+    ir_type = _first_min(own)
     return ScreeningReport(
         ic_slack=ic_slack,
         ic_pair=ic_pair,
-        ir_slack=ir_slack,
+        ir_slack=float(own[ir_type]),
         ir_type=ir_type,
-        monotone_slack=min(
-            (lats[n + 1] - lats[n] for n in range(n_types - 1)), default=0.0
-        ),
-        ir_first_slack=u[0][0],
-        ic_down_slack=min(
-            (u[n][n] - u[n][n - 1] for n in range(1, n_types)), default=0.0
-        ),
-        ic_up_slack=min(
-            (u[n][n] - u[n][n + 1] for n in range(n_types - 1)), default=0.0
-        ),
+        monotone_slack=_least(lats[1:] - lats[:-1]),
+        ir_first_slack=float(own[0]),
+        ic_down_slack=_least(down),
+        ic_up_slack=_least(up),
     )
 
 

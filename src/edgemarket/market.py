@@ -526,6 +526,13 @@ def verify_selection_equilibrium(
     a = MixedMatching(np.asarray(assignment, dtype=float)).probs
     pop = scenario.population
     per_type = type_traffic(a, pop.counts, scenario.task.arrival_rate_per_user)
+    mixed = np.flatnonzero((a != 0.0) & (a != 1.0))
+    if mixed.size:
+        n, j = divmod(int(mixed[0]), a.shape[1])
+        raise DomainError(
+            f"assignment must hold only 0 and 1: type {n + 1} has "
+            f"{float(a[n, j])!r} in column {j}"
+        )
     profiles = profiles_at(scenario, cumulative_load(per_type))
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
     utilities = ItemUtilities(pop, scenario.operators).rows(
@@ -604,24 +611,25 @@ def evaluate_matching(
                             scenario.task.arrival_rate_per_user)
     profiles = profiles_at(scenario, cumulative_load(per_type))
     viols = [profile.probs(menu.latencies) for menu, profile in zip(menus, profiles)]
-    return matching_totals(probs, menus, scenario, viols)
+    return matching_totals(probs, per_type, menus, scenario, viols)
 
 
 def matching_totals(
     probs: np.ndarray,
+    per_type: np.ndarray,
     menus: tuple[ContractMenu, ...],
     scenario: Scenario,
     violations: list[list[float]],
 ) -> MatchingMetrics:
     """`evaluate_matching`'s totals from the N x (M+1) matching matrix it has
-    checked and each operator's violations at its own items, at the loads the
-    matching induces (`violations[m][n]` for operator m's item n)."""
+    checked, its N x M `type_traffic` and each operator's violations at its own
+    items, at the loads the matching induces (`violations[m][n]` for operator
+    m's item n)."""
     pop = scenario.population
-    loads = type_traffic(probs, pop.counts, scenario.task.arrival_rate_per_user)
     per_op = [
         operator_utility(menu, op_loads, spec, op_viols)
         for menu, op_loads, spec, op_viols in zip(
-            menus, loads.T.tolist(), scenario.operators, violations)
+            menus, per_type.T.tolist(), scenario.operators, violations)
     ]
     welfare = social_welfare(
         menus, probs, pop, scenario.task, scenario.operators, violations,

@@ -1,4 +1,5 @@
-"""The benchmark baselines against plain reference implementations.
+"""The benchmark baselines and the screening check against plain reference
+implementations.
 
 `greedy_selection` prices its items from one stage table, deferred acceptance
 keeps each operator's held types in a heap and `project_matching` orders every
@@ -8,7 +9,14 @@ held type on each rejection and a per-type `sorted`. Each pair must return the
 same assignment on seeded markets with ties, zero-count types, binding
 capacities, a stage at the resonance nudge and a load that leaves a stage
 unstable.
+
+`check_ic_ir` reads the type x item utility table in blocks of rows; its
+reference builds the whole table as lists of Python floats and scans it in one
+double loop. Their reports must agree bit for bit.
 """
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,14 +42,28 @@ from edgemarket.benchmarks import (
     run_method,
     run_ours,
 )
-from edgemarket.contracts import ItemUtilities, stage_params_for, stage_table
+from edgemarket.contracts import (
+    ItemUtilities,
+    ScreeningReport,
+    check_ic_ir,
+    optimize_menu,
+    stage_params_for,
+    stage_table,
+    user_utility,
+    violation_profile,
+)
 from edgemarket.market import (
     MixedMatching,
     capacities,
     evaluate_matching,
     project_matching,
 )
-from edgemarket.queueing import ViolationModel, violation_curve, violation_prob
+from edgemarket.queueing import (
+    ViolationModel,
+    ViolationProfile,
+    violation_curve,
+    violation_prob,
+)
 from edgemarket.scenario import default_scenario_obj, scenario_from_obj
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
@@ -167,6 +189,50 @@ def reference_projection(matching, caps, population, delta):
                 out[n, c] = 1
                 break
     return out
+
+
+def reference_check_ic_ir(menu, population, quality, refund, profile):
+    """`check_ic_ir` over the whole N x N table u[n][j] of Python floats, type
+    n's utility from item j, scanned in one double loop."""
+    viols = profile.probs(menu.latencies)
+    items = list(zip(menu.latencies, menu.prices, viols))
+    u = [
+        [
+            user_utility(lat, price, beta, population.alpha_worst, quality, viol,
+                         refund)
+            for lat, price, viol in items
+        ]
+        for beta in population.betas
+    ]
+    n_types = population.n_types
+    ic_slack, ic_pair = math.inf, None
+    for n in range(n_types):
+        for j in range(n_types):
+            if j == n:
+                continue
+            slack = u[n][n] - u[n][j]
+            if slack < ic_slack:
+                ic_slack, ic_pair = slack, (n, j)
+    if n_types == 1:
+        ic_slack = 0.0
+    ir_slack, ir_type = min((u[n][n], n) for n in range(n_types))
+    lats = menu.latencies
+    return ScreeningReport(
+        ic_slack=ic_slack,
+        ic_pair=ic_pair,
+        ir_slack=ir_slack,
+        ir_type=ir_type,
+        monotone_slack=min(
+            (lats[n + 1] - lats[n] for n in range(n_types - 1)), default=0.0
+        ),
+        ir_first_slack=u[0][0],
+        ic_down_slack=min(
+            (u[n][n] - u[n][n - 1] for n in range(1, n_types)), default=0.0
+        ),
+        ic_up_slack=min(
+            (u[n][n] - u[n][n + 1] for n in range(n_types - 1)), default=0.0
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,3 +472,103 @@ def test_run_method_ours_is_run_ours_result():
     assert got.social_welfare.hex() == want.social_welfare.hex()
     assert got.converged == want.converged
     assert got.mixed_matching.tobytes() == want.mixed_matching.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# screening check
+
+_SLACKS = ("ic_slack", "ir_slack", "monotone_slack", "ir_first_slack",
+           "ic_down_slack", "ic_up_slack")
+
+
+def _report_bits(report):
+    for name in _SLACKS:
+        assert type(getattr(report, name)) is float, name
+    assert type(report.ir_type) is int
+    assert report.ic_pair is None or all(type(x) is int for x in report.ic_pair)
+    return ([getattr(report, name).hex() for name in _SLACKS],
+            report.ic_pair, report.ir_type)
+
+
+def _screening_cases(n_types):
+    """(label, menu, population, quality, refund, profile) on a seeded market
+    with n_types types: each operator's solved menu, constructed IC and IR
+    violations, non-monotone menus, all-identical items, signed-zero ties and
+    overflowing utilities."""
+    scn = default_scenario(n_types=n_types, seed=n_types)
+    pop = scn.population
+    rng = np.random.default_rng(n_types)
+    masses = np.asarray(pop.counts, float) * scn.task.arrival_rate_per_user / 3
+    congestion = np.cumsum(masses)
+    for m, spec in enumerate(scn.operators):
+        profile = violation_profile(spec, scn.task, congestion, scn.solver.zeta)
+        menu = optimize_menu(pop, spec, scn.task, masses, congestion)
+        yield f"solved {m}", menu, pop, spec.quality, spec.refund, profile
+    lats, prices = menu.latencies, menu.prices
+    cases = {
+        # item N // 2 a dollar cheaper: every other type gains by taking it
+        "IC violation": (lats, tuple(p - 1.0 if n == n_types // 2 else p
+                                     for n, p in enumerate(prices))),
+        "IR violation": (lats, tuple(p + 0.5 for p in prices)),
+        "shuffled": (tuple(rng.permutation(lats).tolist()), prices),
+        "random": (tuple(rng.uniform(1e-3, 0.5, n_types).tolist()),
+                   tuple(rng.uniform(-0.5, 2.0, n_types).tolist())),
+    }
+    for label, (case_lats, case_prices) in cases.items():
+        yield (label, ContractMenu(case_lats, case_prices), pop, spec.quality,
+               spec.refund, profile)
+    # Equal items and equal bounds: every off-diagonal slack is exactly 0.0.
+    flat = ViolationProfile(np.full(n_types, 3.0), np.full(n_types, 1.5))
+    yield ("identical", ContractMenu((0.3,) * n_types, (1.2,) * n_types), pop,
+           spec.quality, spec.refund, flat)
+    # Worth -0.0, beta x latency underflowing to 0.0 and refund -0.0: an item
+    # priced +0.0 is worth -0.0 and one priced -0.0 is worth +0.0, so slacks
+    # tie at zeros of both signs.
+    tiny = UserTypePopulation((1e-200,) * n_types, pop.counts)
+    yield ("signed zeros",
+           ContractMenu((1e-200,) * n_types,
+                        tuple(rng.choice([0.0, -0.0], n_types).tolist())),
+           tiny, -0.0, -0.0, profile)
+    # beta x latency overflows on the long items: utilities of -inf and
+    # slacks of +-inf and NaN.
+    huge = UserTypePopulation(
+        tuple(sorted(rng.uniform(1e299, 1e300, n_types).tolist(), reverse=True)),
+        pop.counts)
+    yield ("overflow",
+           ContractMenu(tuple(rng.choice([1e-3, 1e10], n_types).tolist()),
+                        tuple(rng.uniform(-0.5, 2.0, n_types).tolist())),
+           huge, spec.quality, spec.refund, profile)
+
+
+@pytest.mark.parametrize("n_types", [1, 2, 3, 8, 127, 128, 129, 300, 1024])
+def test_check_ic_ir_equals_the_list_table_reference(n_types):
+    for label, menu, pop, quality, refund, profile in _screening_cases(n_types):
+        got = check_ic_ir(menu, pop, quality, refund, profile)
+        want = reference_check_ic_ir(menu, pop, quality, refund, profile)
+        assert _report_bits(got) == _report_bits(want), label
+        if label == "identical" and n_types > 1:
+            assert got.ic_slack == 0.0 and got.ic_pair == (0, 1)
+        if label in ("IC violation", "IR violation") and n_types > 1:
+            assert not got.passed, label
+    if n_types == 1:
+        assert (got.ic_slack, got.ic_pair, got.monotone_slack, got.ic_down_slack,
+                got.ic_up_slack) == (0.0, None, 0.0, 0.0, 0.0)
+
+
+def test_check_ic_ir_memory_stays_flat_in_the_number_of_types():
+    # The list table at N = 4 096 holds 16.8 million floats, about 540 MB.
+    n_types = 4096
+    rng = np.random.default_rng(4096)
+    pop = UserTypePopulation(
+        tuple(np.linspace(1e-3, 1e-5, n_types).tolist()), (1,) * n_types)
+    menu = ContractMenu(tuple(np.sort(rng.uniform(1e-3, 0.5, n_types)).tolist()),
+                        tuple(rng.uniform(0.0, 2.0, n_types).tolist()))
+    profile = ViolationProfile(rng.uniform(1.0, 50.0, n_types),
+                               rng.uniform(1.0, 3.0, n_types))
+    tracemalloc.start()
+    try:
+        check_ic_ir(menu, pop, 1.5, 1e-4, profile)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20

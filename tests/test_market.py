@@ -3,6 +3,7 @@ to deterministic assignments, and the equilibrium audit."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -422,6 +423,24 @@ def test_evaluators_reject_assignments_with_the_wrong_row_count(
     message = f"matching has {rows} rows, population has 8 types"
     with pytest.raises(DomainError, match=message):
         evaluate_matching(assignment, default_outcome.menus, scn)
+    with pytest.raises(DomainError, match=message):
+        verify_selection_equilibrium(assignment, default_outcome.menus, scn)
+
+
+def test_equilibrium_audit_rejects_a_mixed_matching(default_outcome):
+    # The fixed point's near-uniform matching passes every matching-matrix
+    # check, but it is no assignment: the audit takes one operator per type.
+    scn = default_scenario()
+    probs = default_outcome.matching.probs
+    evaluate_matching(probs, default_outcome.menus, scn)
+    message = f"type 1 has {float(probs[0, 0])!r} in column 0"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        verify_selection_equilibrium(probs, default_outcome.menus, scn)
+
+    assignment = np.zeros((scn.n_types, scn.n_operators + 1))
+    assignment[:, 2] = 1.0
+    assignment[3, 1:3] = 0.5
+    message = "assignment must hold only 0 and 1: type 4 has 0.5 in column 1"
     with pytest.raises(DomainError, match=message):
         verify_selection_equilibrium(assignment, default_outcome.menus, scn)
 
