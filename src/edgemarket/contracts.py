@@ -48,6 +48,8 @@ from edgemarket.queueing import (
     StageTable,
     ViolationProfile,
     build_profiles,
+    libm_exp,
+    libm_log,
     stage_rate,
 )
 
@@ -822,13 +824,13 @@ class MenuSolve:
 # pass pays about 40 numpy calls whatever the size, the per-operator path a
 # fixed cost per operator. On the fixed point's final masses and profiles of
 # the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 25
-# or 31 alternating rounds) the array pass took 222 us against the
-# per-operator solve's 154 us at M x N = 3 x 8, 333 against 287 us at 3 x 16,
-# 529 against 495 us at 3 x 20, 394 against 382 us at 3 x 24 and 762 against
-# 1 452 us at 3 x 256. At M = 1 the two cross near 80 entries; at M = 6 the
-# per-operator solve is 5% faster at 48 entries and 2% slower at 60, and at
-# M = 10 the array pass is 10% faster at 60. No one gate fits every M; 60 sits
-# between the crossovers.
+# alternating rounds) the array pass took 177 us against the per-operator
+# solve's 117 us at M x N = 3 x 8, 319 against 295 us at 3 x 16, 479 against
+# 468 us at 3 x 20, 398 against 395 us at 3 x 22, 336 against 347 us at
+# 3 x 24 and 592 against 1 441 us at 3 x 256. At M = 1 the per-operator solve
+# is faster up to 80 entries and ties at 100; at M = 6 the two tie at 48
+# entries and the array pass is 6% faster at 60, and at M = 10 it is 20%
+# faster at 60. No one gate fits every M; 60 sits between the crossovers.
 # `queueing._ARRAY_MIN_LANES` gates profile building the same way.
 _ARRAY_MIN_ENTRIES = 60
 
@@ -846,8 +848,9 @@ def optimize_menus(
 
     Below _ARRAY_MIN_ENTRIES entries it solves operator by operator. From it
     on it runs the same float operations in the same order over arrays: each
-    type's closed-form minimiser for every operator at once, with `math.log`
-    and `math.exp` per element; pool-adjacent-violators per operator, calling
+    type's closed-form minimiser for every operator at once, with
+    `math.log`'s and `math.exp`'s bits from `libm_log` and `libm_exp`;
+    pool-adjacent-violators per operator, calling
     `_block_argmin` only where types pool; and the prices of
     `recover_rewards` as one sequential `cumsum`. Both paths return the
     per-operator solve's floats bit for bit.
@@ -933,20 +936,9 @@ def optimize_menus(
     return MenuSolve(lats, prices, viols, np.cumsum(margins, axis=1)[:, -1])
 
 
-def _exp(x: np.ndarray) -> np.ndarray:
-    # `math.exp` per element: `np.exp` differs from it in the last bit on some
-    # arguments.
-    values = np.fromiter(map(math.exp, x.ravel().tolist()), float, x.size)
-    return values.reshape(x.shape)
-
-
-def _log(x: np.ndarray) -> np.ndarray:
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
-
-
 def _bounds(eta: np.ndarray, g: np.ndarray, x: np.ndarray | float) -> np.ndarray:
     """min(1, g*exp(-eta*x)) per element, as `ViolationProfile.prob` reads it."""
-    value = g * _exp(-eta * x)
+    value = g * libm_exp(-eta * x)
     return np.where(value > 1.0, 1.0, value)
 
 
@@ -962,7 +954,7 @@ def _term_argmins(
     a, w, eta, g = a.ravel()[idx], w.ravel()[idx], eta.ravel()[idx], g.ravel()[idx]
     left = np.full(idx.size, lo)
     kinked = g > 1.0
-    left[kinked] = np.maximum(lo, _log(g[kinked]) / eta[kinked])
+    left[kinked] = np.maximum(lo, libm_log(g[kinked]) / eta[kinked])
     keep = left < hi
     idx, left = idx[keep], left[keep]
     a, w, eta, g = a[keep], w[keep], eta[keep], g[keep]
@@ -970,7 +962,7 @@ def _term_argmins(
     x = np.where(a == 0.0, hi, left)
     rising = (a != 0.0) & (rate > a)
     x[rising] = np.minimum(
-        np.maximum(_log(rate[rising] / a[rising]) / eta[rising], left[rising]), hi
+        np.maximum(libm_log(rate[rising] / a[rising]) / eta[rising], left[rising]), hi
     )
     at_x = a * x
     value_lo = a * lo + w * at_lo.ravel()[idx]

@@ -20,6 +20,10 @@ _ARRAY_MIN_LANES (operator, stage, type) triples on, `_erlang_c_lanes`, which
 runs the same float operations in the same order over arrays. Both return
 `erlang_c`'s floats bit for bit, so every profile equals the scalar
 `ViolationModel` exactly.
+
+`libm_exp` and `libm_log` give `math.exp`'s and `math.log`'s bits over
+arrays, through numpy's per-element loop rather than its SIMD loops; the
+array paths here and in `contracts` take every exp and log through them.
 """
 
 from __future__ import annotations
@@ -214,6 +218,36 @@ def _bd0(x: float, m: float) -> float:
     return x * math.log(x / m) + m - x
 
 
+def libm_exp(x: np.ndarray) -> np.ndarray:
+    """`math.exp` of every element of x, bit for bit, in an array of x's shape.
+
+    Where numpy 2.4 runs float64 exp on AVX-512, a contiguous `np.exp`
+    differs from `math.exp` in the last bit on about one argument in 25.
+    numpy's SIMD loops do not take an input with a negative stride: numpy
+    sends it to its per-element loop, which calls the C library's exp, the
+    function `math.exp` calls. So x is made contiguous, flattened to 1-D and
+    passed reversed, and the result is reversed back. Flattening matters: a
+    2-D array with reversed rows keeps a positive inner stride and reaches
+    the SIMD loop, as does a view such as x[::2]. Beyond `math.exp`'s range
+    numpy's overflow to inf stands in for `OverflowError`; the callers'
+    arguments are all at most 0.
+    """
+    flat = np.ascontiguousarray(x, dtype=float).reshape(-1)
+    return np.exp(flat[::-1])[::-1].reshape(np.shape(x))
+
+
+def libm_log(x: np.ndarray) -> np.ndarray:
+    """`math.log` of every element of x, bit for bit, in an array of x's shape.
+
+    `libm_exp`'s loop selection for log: a contiguous `np.log` differs from
+    `math.log` on some arguments, mostly near 1, under numpy's AVX-512
+    dispatch. At or below 0 numpy's -inf or NaN stands in for `ValueError`;
+    the callers' arguments are all above 1.
+    """
+    flat = np.ascontiguousarray(x, dtype=float).reshape(-1)
+    return np.log(flat[::-1])[::-1].reshape(np.shape(x))
+
+
 # Series terms taken per numpy pass in `_erlang_c_lanes`: its temporaries are
 # (_BLOCK + 1) x (lanes still summing) floats. The tail ratio's lanes that
 # outlast a block are those near capacity, whose terms shrink slowest, so its
@@ -232,20 +266,19 @@ def _erlang_c_lanes(
     Lane i has c[i] servers at offered load offered[i], with
     stirlerr[i] = _stirlerr(c[i]) and root[i] = math.sqrt(2 pi c[i]). Every
     lane runs the scalar code's float operations in its order: elementwise
-    numpy arithmetic rounds as Python floats do, `math.log` and `math.exp`
-    run per lane (`np.exp` differs from `math.exp` in the last bit on some
-    arguments), and the two series advance every lane by one term per numpy
-    call, stopping each lane at the index the scalar loop stops at.
+    numpy arithmetic rounds as Python floats do, `libm_log` and `libm_exp`
+    give `math.log`'s and `math.exp`'s bits, and the two series advance every
+    lane by one term per numpy call, stopping each lane at the index the
+    scalar loop stops at.
     """
     bd0 = np.empty_like(offered)
     series = offered > 0.5 * c
     direct = ~series
     x, m = c[direct], offered[direct]
-    logs = np.fromiter(map(math.log, (x / m).tolist()), float, x.size)
-    bd0[direct] = x * logs + m - x
+    bd0[direct] = x * libm_log(x / m) + m - x
     bd0[series] = _bd0_lanes(c[series], offered[series])
     log_pmf = -stirlerr - bd0
-    pmf = np.fromiter(map(math.exp, log_pmf.tolist()), float, log_pmf.size) / root
+    pmf = libm_exp(log_pmf) / root
     # Where the pmf underflows, blocking and the result are exactly 0.0, the
     # scalar code's early return.
     blocking = pmf / (1.0 - pmf * _tail_ratio_lanes(c, offered, pmf))
@@ -586,12 +619,14 @@ def violation_curve(
 # same loads through `_erlang_c_lanes`, whose fixed cost of ~80 numpy calls
 # outweighs its lower per-lane cost on small calls. On the fixed point's final
 # loads of the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4;
-# best of 25 alternating rounds) a whole `build_profiles` call took 161 us on
-# the list path against 243 us on the array path at 72 triples (8 types), 223
-# against 264 us at 108 (12 types), 274 against 272 us at 144 (16 types), 329
-# against 292 us at 180 (20 types) and 2 137 against 707 us at 2 304 (256
-# types); at one operator, 360 against 336 us at 144 triples and 454 against
-# 353 us at 192. The paths cross near 144 triples.
+# best of 25 alternating rounds) a whole `build_profiles` call took 168 us on
+# the list path against 237 us on the array path at 72 triples (8 types), 207
+# against 227 us at 108 (12 types), 240 against 238 us at 126 (14 types), 274
+# against 250 us at 144 (16 types), 320 against 248 us at 180 (20 types) and
+# 2 161 against 496 us at 2 304 (256 types); at one operator, 157 against
+# 136 us at 144 triples (48 types), and at six, 320 against 302 us at 144
+# (8 types). The paths cross near 126 triples; at 144 the array path is
+# ahead at every M measured.
 # `contracts._ARRAY_MIN_ENTRIES` gates the menu solve the same way.
 _ARRAY_MIN_LANES = 144
 

@@ -3,6 +3,10 @@ and the Monte Carlo sampler the bound is validated against."""
 
 import decimal
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from edgemarket.queueing import (
     _erlang_c_lanes,
     _erlang_c_table,
     _stirlerr,
+    libm_exp,
+    libm_log,
 )
 
 
@@ -166,6 +172,88 @@ def test_array_erlang_c_stops_lanes_at_the_block_edges():
     series = offered > 0.5 * c
     assert _bd0_lanes(c[series], offered[series]).tobytes() == np.array(
         [_bd0(x, a) for x, a in zip(c[series], offered[series])]).tobytes()
+
+
+# Arguments on which a contiguous np.exp / np.log differs from math.exp /
+# math.log in the last bit under numpy 2.4.6's AVX-512 dispatch on an Intel
+# Xeon: a helper that reached numpy's SIMD loops would fail on them there.
+_SIMD_EXP_ARGS = (
+    "-0x1.622aa756956a4p+9", "-0x1.61c20f2953a04p+9", "-0x1.c49d2e4776702p+8",
+    "-0x1.6524c30643ae4p+8", "-0x1.3b2835f4763e1p+6", "-0x1.bfa3bf3c2eb98p+3",
+    "-0x1.9c687d9364405p-1", "-0x1.b837939246b24p-2",
+)
+_SIMD_LOG_ARGS = (
+    "0x1.f0b3fb7eb7edep-1", "0x1.fe4aec127937ap-1", "0x1.0007233a2e8d7p+0",
+    "0x1.0035fa63a27e7p+0", "0x1.04c400c7525c1p+0", "0x1.09d22a7124e5fp+0",
+    "0x1.528555f5de01bp+12", "0x1.8cf2b50b01afbp+19",
+)
+
+
+def _assert_math_bits(helper, reference, x) -> None:
+    got = helper(x)
+    assert got.shape == np.shape(x) and got.dtype == np.float64
+    want = [reference(v).hex() for v in np.ravel(x).tolist()]
+    assert [v.hex() for v in got.ravel().tolist()] == want
+
+
+def test_libm_helpers_give_math_bits():
+    rng = np.random.default_rng(2101)
+    # The callers' ranges: exp of -eta*x and of -stirlerr - bd0, log of
+    # g > 1, rate/a > 1 and c/offered >= 2; log arguments near 1, where
+    # the SIMD log differs most often, get half of the draws.
+    x = rng.uniform(-750.0, 0.0, 200_000)
+    y = np.concatenate([
+        np.exp(rng.uniform(math.log(5e-324), math.log(1e300), 100_000)),
+        rng.uniform(0.5, 2.0, 100_000),
+    ])
+    _assert_math_bits(libm_exp, math.exp, x)
+    _assert_math_bits(libm_log, math.log, y)
+    recorded = [
+        (libm_exp, math.exp, np.array([float.fromhex(v) for v in _SIMD_EXP_ARGS])),
+        (libm_log, math.log, np.array([float.fromhex(v) for v in _SIMD_LOG_ARGS])),
+    ]
+    for helper, reference, args in recorded:
+        _assert_math_bits(helper, reference, args)
+        for arg in args:
+            _assert_math_bits(helper, reference, np.array([arg]))
+    # -0.0 and 0.0; results that are subnormal or underflow to 0.0.
+    _assert_math_bits(libm_exp, math.exp, np.array(
+        [-0.0, 0.0, -708.5, -740.0, -745.1, -745.2, -746.0, -750.0, -1e4]))
+    _assert_math_bits(libm_log, math.log, np.array(
+        [5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e300, 1.7976931348623157e308]))
+    for helper, reference, values in ((libm_exp, math.exp, x), (libm_log, math.log, y)):
+        _assert_math_bits(helper, reference, np.empty(0))
+        _assert_math_bits(helper, reference, np.empty((0, 3)))
+        _assert_math_bits(helper, reference, values[0])
+        head = values[:20_000]
+        table = head.reshape(100, 200)
+        for view in (table, table[::-1], table.T, table[:, ::3], table[::-2, 1::2],
+                     head[::2], head[::-1], head[::-3]):
+            _assert_math_bits(helper, reference, view)
+
+
+def test_libm_helpers_give_math_bits_under_the_non_avx512_dispatch():
+    # The same check in a child process with numpy's AVX-512 dispatch off,
+    # where np.exp and np.log take their AVX2 or baseline loops.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    if not all(umath.__cpu_features__.get(f) for f in features):
+        pytest.skip("this machine does not run numpy's AVX-512 dispatch")
+    src = Path(sys.modules["edgemarket"].__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4']\n"
+        "spec = importlib.util.spec_from_file_location('queueing_tests', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module.test_libm_helpers_give_math_bits()\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_erlang_c_is_robust_across_accepted_regimes():
