@@ -45,7 +45,6 @@ from edgemarket.queueing import (
     erlang_c,
     sample_sojourn,
     stage_rate,
-    stage_tail,
     violation_prob,
 )
 from edgemarket.scenario import (
@@ -96,7 +95,6 @@ __all__ = [
     "sample_sojourn",
     "social_welfare",
     "stage_rate",
-    "stage_tail",
     "user_utility",
     "verify_selection_equilibrium",
     "violation_prob",

@@ -41,6 +41,7 @@ from edgemarket.contracts import (
 )
 from edgemarket.errors import DomainError
 from edgemarket.market import (
+    CAPACITY_SLACK,
     MarketOutcome,
     MatchingMetrics,
     capacities,
@@ -126,7 +127,7 @@ def greedy_selection(
     specs = scenario.operators
     n_ops = len(specs)
     lanes = stage_table(specs, scenario.task).lanes
-    bars = [cap + 1e-9 for cap in capacities(scenario).tolist()]
+    bars = [cap + CAPACITY_SLACK for cap in capacities(scenario).tolist()]
     worth = [pop.alpha_worst * spec.quality for spec in specs]
     refunds = [spec.refund for spec in specs]
     floor = cfg.opt_out_utility - _TIE_TOL

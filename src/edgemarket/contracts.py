@@ -186,17 +186,6 @@ def menu_to_obj(menu: ContractMenu) -> list[dict]:
     ]
 
 
-def menu_from_obj(obj: Sequence[dict]) -> ContractMenu:
-    rows = sorted(obj, key=lambda row: row["type_index"])
-    for n, row in enumerate(rows):
-        if row["type_index"] != n + 1:
-            raise DomainError(f"type_index values must be 1..N, got {row['type_index']}")
-    return ContractMenu(
-        tuple(row["latency_s"] for row in rows),
-        tuple(row["price_usd"] for row in rows),
-    )
-
-
 # ---------------------------------------------------------------------------
 # violation profiles
 
@@ -822,15 +811,16 @@ class MenuSolve:
 # From this many operator-type entries (M x N) on, `optimize_menus` solves
 # every operator in one array pass; below it, operator by operator. The array
 # pass pays about 40 numpy calls whatever the size, the per-operator path a
-# fixed cost per operator. On the fixed point's final masses and profiles of
-# the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; best of 25
-# alternating rounds) the array pass took 177 us against the per-operator
-# solve's 117 us at M x N = 3 x 8, 319 against 295 us at 3 x 16, 479 against
-# 468 us at 3 x 20, 398 against 395 us at 3 x 22, 336 against 347 us at
-# 3 x 24 and 592 against 1 441 us at 3 x 256. At M = 1 the per-operator solve
-# is faster up to 80 entries and ties at 100; at M = 6 the two tie at 48
-# entries and the array pass is 6% faster at 60, and at M = 10 it is 20%
-# faster at 60. No one gate fits every M; 60 sits between the crossovers.
+# fixed cost per operator. Each benchmark workload runs one side (README,
+# "Size gates"; Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4; median over the
+# calls a seed-0 solve and bench make, best of 9 each): at 3 x 8 entries the
+# per-operator solve takes 152 us against the array pass's 232 us on
+# congested's calls and 135 against 196 us on fleet100's, and at 3 x 256 the
+# array pass takes 630 us against 1 534 us on types256's. At M = 3 the paths
+# cross between 66 and 72 entries on the default fleet's final masses and
+# between 72 and 96 on types256's inputs cut to their first types (near 100
+# entries at M = 1 and 48 at M = 6 on the default fleet); no workload runs
+# between the gate and either crossover.
 # `queueing._ARRAY_MIN_LANES` gates profile building the same way.
 _ARRAY_MIN_ENTRIES = 60
 

@@ -148,6 +148,11 @@ def effective_capacity(spec: OperatorSpec, task: TaskSpec, safety: float) -> flo
     return safety * min(s.service_capacity for s in stages)
 
 
+# An assignment fits an operator while its load stays at most the capacity
+# plus this slack: the 0/1 projection and greedy selection both admit by it.
+CAPACITY_SLACK = 1e-9
+
+
 def capacities(scenario: Scenario) -> np.ndarray:
     """Every operator's effective capacity under the scenario's safety share."""
     return np.array([
@@ -462,7 +467,7 @@ def project_matching(
         (np.broadcast_to(tie_rank, matching.probs.shape), -matching.probs), axis=1
     )
     assigned = [0.0] * n_ops
-    bars = [cap + 1e-9 for cap in caps.tolist()]
+    bars = [cap + CAPACITY_SLACK for cap in caps.tolist()]
     choices = []
     for count, candidates in zip(population.counts, order.tolist()):
         traffic = count * delta

@@ -375,11 +375,6 @@ def stage_rate(per_task: float, unit_throughput: float) -> float:
     return unit_throughput / per_task
 
 
-def stage_tail(params: StageParams, t: float) -> float:
-    """P(single-stage sojourn > t) for a stable M/M/c stage."""
-    return StageTail.from_params(params).survival(t)
-
-
 def chernoff_eta(stages: tuple[StageParams, ...], zeta: float) -> float:
     """Shared bound exponent: zeta times the tightest per-server rate slack."""
     if not 0.0 < zeta < 1.0:
@@ -617,16 +612,15 @@ def violation_curve(
 # `_erlang_c_table` walks the loads as Python lists and runs `_erlang_c_lane`
 # per load that differs from the type before's; from it on, it runs those
 # same loads through `_erlang_c_lanes`, whose fixed cost of ~80 numpy calls
-# outweighs its lower per-lane cost on small calls. On the fixed point's final
-# loads of the default fleet (Intel Xeon, 2 vCPU, Python 3.11, numpy 2.4;
-# best of 25 alternating rounds) a whole `build_profiles` call took 168 us on
-# the list path against 237 us on the array path at 72 triples (8 types), 207
-# against 227 us at 108 (12 types), 240 against 238 us at 126 (14 types), 274
-# against 250 us at 144 (16 types), 320 against 248 us at 180 (20 types) and
-# 2 161 against 496 us at 2 304 (256 types); at one operator, 157 against
-# 136 us at 144 triples (48 types), and at six, 320 against 302 us at 144
-# (8 types). The paths cross near 126 triples; at 144 the array path is
-# ahead at every M measured.
+# outweighs its lower per-lane cost on small calls. Each benchmark workload
+# runs one side (README, "Size gates"; Intel Xeon, 2 vCPU, Python 3.11,
+# numpy 2.4; median over the calls a seed-0 solve and bench make, best of 9
+# each): at 72 triples the list path takes 218 us against the array path's
+# 332 us on congested's calls and 97 against 144 us on fleet100's, and at
+# 2 304 triples the array path takes 571 us against 2 321 us on types256's.
+# The paths cross near 126 triples on the default fleet's final loads and
+# between 288 and 360 on types256's loads cut to their first types; no
+# workload runs between the gate and either crossover.
 # `contracts._ARRAY_MIN_ENTRIES` gates the menu solve the same way.
 _ARRAY_MIN_LANES = 144
 
@@ -740,8 +734,8 @@ def sample_sojourn(params: StageParams, rng_seed: int, n: int) -> np.ndarray:
     Inverse-transform sampling of the exact distribution: the queueing delay
     (atom at zero, exponential tail at the excess-capacity rate) and the
     service time are each inverted in closed form and summed, so the sample
-    survival function is the same signed two-exponential mixture `stage_tail`
-    evaluates.
+    survival function is the same signed two-exponential mixture
+    `StageTail.survival` evaluates.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")

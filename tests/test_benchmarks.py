@@ -30,7 +30,7 @@ from edgemarket.benchmarks import (
     run_method,
     run_ours,
 )
-from edgemarket.contracts import SCREENING_TOL, menu_from_obj
+from edgemarket.contracts import SCREENING_TOL
 from edgemarket.market import evaluate_matching
 
 TASK = TaskSpec(0.18, 3.6e11, 0.27, 24.0)
@@ -293,10 +293,12 @@ def test_result_serialization_round_trip(default_results):
         assert back["total_operator_utility"] == result.total_operator_utility
         assert back["social_welfare"] == result.social_welfare
         assert back["converged"] == result.converged
-        for a, b in zip(back["menus"], result.menus):
-            menu = menu_from_obj(a)
-            assert menu.latencies == b.latencies
-            assert menu.prices == b.prices
+        for rows, menu in zip(back["menus"], result.menus):
+            assert [row["type_index"] for row in rows] == list(
+                range(1, len(menu.latencies) + 1)
+            )
+            assert tuple(row["latency_s"] for row in rows) == menu.latencies
+            assert tuple(row["price_usd"] for row in rows) == menu.prices
         if result.mixed_matching is None:
             assert "mixed_matching" not in back
         else:

@@ -2,6 +2,7 @@
 optimizer against brute-force oracles, and welfare accounting."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -37,7 +38,6 @@ from edgemarket.contracts import (
     _latency_terms,
     _term_argmin,
     _term_argmins,
-    menu_from_obj,
     menu_profit,
     menu_to_obj,
     optimize_menu_with_profile,
@@ -665,6 +665,9 @@ def _assert_equals_per_operator_solve(pop, specs, masses, profiles, bounds):
         assert got.menus()[m] == menu
         for row, want in ((got.latencies[m], menu.latencies),
                           (got.prices[m], menu.prices),
+                          (got.prices[m], recover_rewards(menu.latencies, pop,
+                                                          spec.quality,
+                                                          spec.refund, profile)),
                           (got.violations[m], viols),
                           (utilities[m],
                            [user_utility(lat, price, beta, pop.alpha_worst,
@@ -858,9 +861,10 @@ def test_menu_serialization_round_trip_is_exact():
     pop = make_population(3)
     _, congestion = make_profile(pop)
     menu = optimize_menu(pop, SPEC, TASK, [240.0, 288.0, 192.0], congestion)
-    again = menu_from_obj(menu_to_obj(menu))
-    assert again.latencies == menu.latencies
-    assert again.prices == menu.prices
+    rows = json.loads(json.dumps(menu_to_obj(menu)))
+    assert [row["type_index"] for row in rows] == [1, 2, 3]
+    assert tuple(row["latency_s"] for row in rows) == menu.latencies
+    assert tuple(row["price_usd"] for row in rows) == menu.prices
 
 
 def make_market(pop, n_ops=1):

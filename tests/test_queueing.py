@@ -21,7 +21,6 @@ from edgemarket import (
     erlang_c,
     sample_sojourn,
     stage_rate,
-    stage_tail,
     violation_prob,
 )
 from edgemarket.queueing import (
@@ -320,24 +319,24 @@ def test_stage_tail_is_one_at_zero():
         c = int(rng.integers(1, 30))
         mu = rng.uniform(0.5, 20.0)
         lam = rng.uniform(0.0, 0.95) * c * mu
-        assert stage_tail(StageParams(c, mu, lam), 0.0) == 1.0
+        assert StageTail.from_params(StageParams(c, mu, lam)).survival(0.0) == 1.0
 
 
 def test_stage_tail_mm1_collapses_to_exponential():
     # With one server the two-exponential mixture reduces to e^{-(mu-lam) t}.
-    params = StageParams(1, 1.0, 0.5)
-    assert stage_tail(params, 1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert stage_tail(params, 3.0) == pytest.approx(math.exp(-1.5), abs=1e-12)
+    tail = StageTail.from_params(StageParams(1, 1.0, 0.5))
+    assert tail.survival(1.0) == pytest.approx(math.exp(-0.5), abs=1e-12)
+    assert tail.survival(3.0) == pytest.approx(math.exp(-1.5), abs=1e-12)
 
 
 def test_stage_tail_vanishes_at_large_t():
-    assert stage_tail(StageParams(2, 1.0, 1.0), 80.0) < 1e-12
+    assert StageTail.from_params(StageParams(2, 1.0, 1.0)).survival(80.0) < 1e-12
 
 
 def test_stage_tail_monotone_in_t():
-    params = StageParams(4, 2.0, 6.0)
+    tail = StageTail.from_params(StageParams(4, 2.0, 6.0))
     ts = np.linspace(0.0, 10.0, 200)
-    vals = [stage_tail(params, t) for t in ts]
+    vals = [tail.survival(t) for t in ts]
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
 
 
@@ -347,9 +346,10 @@ def test_stage_tail_degenerate_excess_equals_service_rate():
     c, mu = 2, 1.0
     params = StageParams(c, mu, c * mu - mu)
     wait = erlang_c(c, params.arrival_rate, mu)
+    tail = StageTail.from_params(params)
     for t in (0.3, 1.0, 4.0):
         want = (1.0 + wait * mu * t) * math.exp(-mu * t)
-        assert stage_tail(params, t) == pytest.approx(want, rel=1e-5)
+        assert tail.survival(t) == pytest.approx(want, rel=1e-5)
 
 
 def simpson(fn, lo, hi, n):
@@ -365,7 +365,7 @@ def test_stage_tail_integrates_to_mean_sojourn():
         wait = erlang_c(c, lam, mu)
         r = c * mu - lam
         want = 1.0 / mu + wait / r
-        got = simpson(lambda t: stage_tail(params, t), 0.0, 60.0 / min(mu, r), 4000)
+        got = simpson(StageTail.from_params(params).survival, 0.0, 60.0 / min(mu, r), 4000)
         assert got == pytest.approx(want, rel=1e-6)
 
 
@@ -462,8 +462,9 @@ def test_sample_sojourn_rejects_bad_counts_and_instability():
 def test_sample_sojourn_survival_matches_stage_tail():
     params = StageParams(4, 2.0, 6.0)
     draws = sample_sojourn(params, rng_seed=19, n=400_000)
+    tail = StageTail.from_params(params)
     for t in (0.2, 0.5, 1.0, 2.0):
         emp = float(np.mean(draws > t))
-        want = stage_tail(params, t)
+        want = tail.survival(t)
         sigma = math.sqrt(max(want * (1 - want), 1e-12) / draws.size)
         assert abs(emp - want) < 5 * sigma
