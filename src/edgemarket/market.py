@@ -31,7 +31,7 @@ from edgemarket.contracts import (
     violation_profiles,
 )
 from edgemarket.errors import DomainError, SetupError
-from edgemarket.queueing import ViolationProfile, build_profiles
+from edgemarket.queueing import ViolationProfile, build_profiles, libm_exp
 from edgemarket.scenario import Scenario
 
 
@@ -225,7 +225,9 @@ def mixed_response(
         )
     scores /= temperature
     scores -= scores.max(axis=1, keepdims=True)
-    weights = np.exp(scores)
+    # `math.exp`'s bits, so the matching does not depend on numpy's CPU
+    # dispatch.
+    weights = libm_exp(scores)
     # Each row's largest weight is exp(0) = 1, so every total is at least 1
     # and the quotients form a matching (each in [0, 1], rows summing to 1 up
     # to rounding).

@@ -3,7 +3,11 @@ to deterministic assignments, and the equilibrium audit."""
 
 import hashlib
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -517,12 +521,16 @@ def test_unconverged_solve_reuses_the_round_after_its_best_iterate(monkeypatch):
 
 # `run_fixed_point`'s iterations, matching, menus and the projected matching's
 # social welfare, as float.hex, recorded before the small-market round was
-# restructured; every later change must reproduce them bit for bit.
+# restructured and re-recorded once, when the softmax took `math.exp`'s bits
+# through `queueing.libm_exp` (one matching entry of the default solve moved
+# by 2.8e-17, and the 256-type matching's digest below); since then they are
+# the same under every CPU dispatch of numpy. Every later change must
+# reproduce them bit for bit.
 _PINNED_DEFAULT = {
     "iterations": 18,
     "welfare": "0x1.516bd24891f98p+12",
     "matching": [
-        "0x1.fffffffffffabp-3", "0x1.000000000002bp-2", "0x1.0000000000004p-2",
+        "0x1.fffffffffffacp-3", "0x1.000000000002bp-2", "0x1.0000000000004p-2",
         "0x1.ffffffffffff8p-3", "0x1.fa3f4193db6a8p-3", "0x1.00fa7ed21c7d9p-2",
         "0x1.00f7e441654c6p-2", "0x1.00edfc229080cp-2", "0x1.f4688b5b542cep-3",
         "0x1.01f7c80e965cbp-2", "0x1.01f26f141640dp-2", "0x1.01e1832fa94c2p-2",
@@ -619,7 +627,7 @@ def test_fixed_point_reproduces_its_recorded_outputs_bit_for_bit(default_outcome
 _PINNED_256_TYPES_SEED_57 = {
     "iterations": 15,
     "welfare": "0x1.5143e59cc3c16p+12",
-    "matching": "566004b90822575903f106f1d331be800958ea1ea71eb55b791fa892687b1761",
+    "matching": "405f2fbd1d667d3d6848ca3a096d6677fe3c1b631599694df77b9fa315a4f891",
     "latencies": "4262d815480e657ebd64cacd25ec029d3eea5684af33fdbb88080e23721b8e94",
     "prices": "67ed8772927971ce48d3a04e1b429c0e6c3ff2278d8c41061e4c48cac21eedc9",
 }
@@ -631,3 +639,29 @@ def test_256_type_fixed_point_reproduces_its_recorded_outputs_bit_for_bit():
     for key in ("matching", "latencies", "prices"):
         outputs[key] = hashlib.sha256(" ".join(outputs[key]).encode()).hexdigest()
     assert outputs == _PINNED_256_TYPES_SEED_57
+
+
+def test_pinned_fixed_points_reproduce_under_the_non_avx512_dispatch():
+    # The three pinned solves again, in a child process with numpy's AVX-512
+    # dispatch off, where np.exp and np.log take their AVX2 or baseline loops.
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    features = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+    if not all(umath.__cpu_features__.get(f) for f in features):
+        pytest.skip("this machine does not run numpy's AVX-512 dispatch")
+    src = Path(sys.modules["edgemarket"].__file__).resolve().parents[1]
+    code = (
+        "import importlib.util, sys\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "assert not __cpu_features__['X86_V4']\n"
+        "spec = importlib.util.spec_from_file_location('market_tests', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "module.test_fixed_point_reproduces_its_recorded_outputs_bit_for_bit(\n"
+        "    module.run_fixed_point(module.default_scenario()))\n"
+        "module.test_256_type_fixed_point_reproduces_its_recorded_outputs_bit_for_bit()\n"
+    )
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
+               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code, __file__], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
