@@ -3,11 +3,7 @@ to deterministic assignments, and the equilibrium audit."""
 
 import hashlib
 import math
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -641,18 +637,11 @@ def test_256_type_fixed_point_reproduces_its_recorded_outputs_bit_for_bit():
     assert outputs == _PINNED_256_TYPES_SEED_57
 
 
-def test_pinned_fixed_points_reproduce_under_the_non_avx512_dispatch():
+def test_pinned_fixed_points_reproduce_under_the_non_avx512_dispatch(run_without_avx512):
     # The three pinned solves again, in a child process with numpy's AVX-512
-    # dispatch off, where np.exp and np.log take their AVX2 or baseline loops.
-    umath = pytest.importorskip("numpy._core._multiarray_umath")
-    features = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
-    if not all(umath.__cpu_features__.get(f) for f in features):
-        pytest.skip("this machine does not run numpy's AVX-512 dispatch")
-    src = Path(sys.modules["edgemarket"].__file__).resolve().parents[1]
+    # dispatch off.
     code = (
         "import importlib.util, sys\n"
-        "from numpy._core._multiarray_umath import __cpu_features__\n"
-        "assert not __cpu_features__['X86_V4']\n"
         "spec = importlib.util.spec_from_file_location('market_tests', sys.argv[1])\n"
         "module = importlib.util.module_from_spec(spec)\n"
         "spec.loader.exec_module(module)\n"
@@ -660,8 +649,5 @@ def test_pinned_fixed_points_reproduce_under_the_non_avx512_dispatch():
         "    module.run_fixed_point(module.default_scenario()))\n"
         "module.test_256_type_fixed_point_reproduces_its_recorded_outputs_bit_for_bit()\n"
     )
-    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(features),
-               PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code, __file__], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = run_without_avx512(code, __file__)
     assert proc.returncode == 0, proc.stderr
