@@ -137,18 +137,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
     # Comparison table: one row per type; the fixed point as probabilities,
     # the one-shot mechanisms as the matched operator index (0 = opt out).
     ours = results["OURS"]
+    baselines = benchmarks.METHODS[1:]
     n_ops = len(scenario.operators)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["type", "ours_opt_out"]
         + [f"ours_op_{m + 1}" for m in range(n_ops)]
-        + ["ct", "mc", "gsmc"]
+        + [name.lower() for name in baselines]
     )
     for n in range(scenario.n_types):
         row = [n + 1]
         row += [repr(float(x)) for x in ours.mixed_matching[n]]
-        for name in ("CT", "MC", "GSMC"):
+        for name in baselines:
             row.append(int(np.argmax(results[name].assignment[n])))
         writer.writerow(row)
     _write_text(out / "comparison.csv", buf.getvalue())

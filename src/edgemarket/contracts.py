@@ -48,6 +48,7 @@ from edgemarket.queueing import (
     StageTable,
     ViolationProfile,
     build_profiles,
+    left_sum,
     libm_exp,
     libm_log,
     stage_rate,
@@ -209,27 +210,12 @@ def stage_params_for(
 
 def stage_table(specs: Sequence[OperatorSpec], task: TaskSpec) -> StageTable:
     """Every operator's uplink, processing and downlink stages as one checked
-    `StageTable`, for any number of `violation_profiles` builds."""
+    `StageTable`, for any number of `build_profiles` builds."""
     stages = [stage_params_for(spec, task, 0.0) for spec in specs]
     return StageTable(
         [[s.servers for s in row] for row in stages],
         [[s.unit_rate for s in row] for row in stages],
     )
-
-
-def violation_profiles(
-    specs: Sequence[OperatorSpec],
-    task: TaskSpec,
-    loads: Sequence[Sequence[float]],
-    zeta: float,
-) -> list[ViolationProfile]:
-    """Each operator's per-type (eta, g) violation bounds at its row of the
-    M x N cumulative loads, built in one array pass over all operators.
-
-    Types whose load leaves any stage unstable are pinned at 1, so downstream
-    solves and selections can still evaluate an overloaded operator.
-    """
-    return build_profiles(stage_table(specs, task), loads, zeta)
 
 
 def violation_profile(
@@ -238,8 +224,10 @@ def violation_profile(
     congestion: Sequence[float],
     zeta: float,
 ) -> ViolationProfile:
-    """One operator's `violation_profiles` at the given cumulative loads."""
-    return violation_profiles((spec,), task, [congestion], zeta)[0]
+    """One operator's per-type (eta, g) violation bounds at the given
+    cumulative loads; types whose load leaves any stage unstable are pinned
+    at 1, so downstream solves can still evaluate an overloaded operator."""
+    return build_profiles(stage_table((spec,), task), [congestion], zeta)[0]
 
 
 def _check_profile(profile: ViolationProfile, n_types: int) -> None:
@@ -299,10 +287,10 @@ def operator_utility(
     """Revenue net of expected violation costs and execution costs, per second."""
     if not len(loads) == len(violations) == len(menu.prices):
         raise DomainError("loads and violations must match the menu length")
-    total = 0.0
-    for price, load, viol in zip(menu.prices, loads, violations):
-        total += load * (price - spec.violation_cost * viol - spec.exec_cost_per_task)
-    return total
+    return left_sum(
+        load * (price - spec.violation_cost * viol - spec.exec_cost_per_task)
+        for price, load, viol in zip(menu.prices, loads, violations)
+    )
 
 
 def recover_rewards(
@@ -519,9 +507,8 @@ def _block_argmin(block: Sequence[Sequence[float]], lo: float, hi: float) -> flo
     climbs to it without overshooting. The best candidate wins, the smallest
     latency on ties.
 
-    Every sum runs left to right from 0.0: builtin sum() compensates float
-    rounding from Python 3.12 on, which would move pooled latencies with the
-    Python version.
+    Every sum runs left to right from 0.0, inline for speed, as `left_sum`
+    adds.
     """
     exp, log = math.exp, math.log
     slope0 = 0.0
@@ -705,7 +692,7 @@ def _profit(
     violations: Sequence[float],
     violation_cost: float,
 ) -> float:
-    # Summed left to right from 0.0, as every output sum is.
+    # Run per operator every round, so `left_sum`'s loop is inline here.
     total = 0.0
     for mass, price, viol in zip(masses, prices, violations):
         total += mass * (price - violation_cost * viol)
@@ -729,8 +716,7 @@ def menu_objective(
     # `recover_rewards` then `menu_profit`, with the violations evaluated once.
     viols = profile.probs(lats)
     prices = _prices(lats, viols, population, spec.quality, spec.refund)
-    return _profit(_resolve_masses(demand_masses, population), prices, viols,
-                   spec.violation_cost)
+    return menu_profit(prices, viols, population, spec, demand_masses)
 
 
 def optimize_menu(
@@ -1038,6 +1024,8 @@ def social_welfare(
     ).tolist()
     # Each type's task rate into every column, opt-out first.
     served = np.asarray(population.counts, dtype=float)[:, None] * z * delta
+    # Each operator's surplus, then its users', interleaved: `left_sum`'s
+    # order, inline.
     total = 0.0
     for menu, spec, viols, loads, row in zip(menus, specs, violations,
                                              served[:, 1:].T.tolist(), utilities):

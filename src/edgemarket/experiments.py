@@ -8,6 +8,7 @@ rows are reproducible bit-for-bit from (scenario, seed).
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -15,6 +16,7 @@ from typing import Iterable
 
 from edgemarket.benchmarks import METHODS, run_method
 from edgemarket.errors import DomainError
+from edgemarket.queueing import left_sum
 from edgemarket.scenario import (
     Scenario,
     default_betas,
@@ -91,12 +93,12 @@ class SweepSpec:
             )
         if not self.values:
             raise DomainError("sweep values must be non-empty")
-        if self.axis in ("total_users", "num_types"):
-            for value in self.values:
-                if not float(value).is_integer():
-                    raise DomainError(
-                        f"{self.axis} values must be integers, got {value!r}"
-                    )
+        for value in self.values:
+            if not math.isfinite(value):
+                raise DomainError(f"{self.axis} values must be finite, got {value!r}")
+            if (self.axis in ("total_users", "num_types")
+                    and not float(value).is_integer()):
+                raise DomainError(f"{self.axis} values must be integers, got {value!r}")
         if self.replicates < 1:
             raise DomainError(f"replicates must be >= 1, got {self.replicates}")
 
@@ -139,12 +141,7 @@ def run_sweep(base: Scenario, spec: SweepSpec) -> list[SweepRow]:
 
 
 def _mean(values: list[float]) -> float:
-    # Summed left to right from 0.0: builtin sum() compensates float rounding
-    # from Python 3.12 on, which would move the means with the Python version.
-    total = 0.0
-    for x in values:
-        total += x
-    return total / len(values)
+    return left_sum(values) / len(values)
 
 
 def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
@@ -170,38 +167,26 @@ def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
     return out
 
 
-def write_detail_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
+def _cell(value):
+    # Floats as repr, so a CSV round-trips bit for bit; flags as 0/1.
+    if isinstance(value, bool):
+        return int(value)
+    return repr(float(value)) if isinstance(value, float) else value
+
+
+def _write_csv(records: Iterable[dict], fieldnames: tuple[str, ...],
+               path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_SWEEP_CSV_VERSION + "\n")
-        writer = csv.DictWriter(fh, fieldnames=_DETAIL_FIELDS)
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         writer.writeheader()
-        for row in rows:
-            writer.writerow({
-                "axis": row.axis,
-                "value": repr(row.value),
-                "method": row.method,
-                "replicate": row.replicate,
-                "seed": row.seed,
-                "total_operator_utility": repr(row.total_operator_utility),
-                "social_welfare": repr(row.social_welfare),
-                "converged": int(row.converged),
-                "runtime_s": repr(row.runtime_s),
-            })
+        for record in records:
+            writer.writerow({name: _cell(record[name]) for name in fieldnames})
+
+
+def write_detail_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
+    _write_csv((vars(row) for row in rows), _DETAIL_FIELDS, path)
 
 
 def write_mean_csv(means: Iterable[dict], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_SWEEP_CSV_VERSION + "\n")
-        writer = csv.DictWriter(fh, fieldnames=_MEAN_FIELDS)
-        writer.writeheader()
-        for row in means:
-            writer.writerow({
-                "axis": row["axis"],
-                "value": repr(float(row["value"])),
-                "method": row["method"],
-                "replicates": row["replicates"],
-                "total_operator_utility": repr(row["total_operator_utility"]),
-                "social_welfare": repr(row["social_welfare"]),
-                "converged_share": repr(row["converged_share"]),
-                "runtime_s": repr(row["runtime_s"]),
-            })
+    _write_csv(means, _MEAN_FIELDS, path)

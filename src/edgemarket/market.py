@@ -28,10 +28,9 @@ from edgemarket.contracts import (
     social_welfare,
     stage_params_for,
     stage_table,
-    violation_profiles,
 )
 from edgemarket.errors import DomainError, SetupError
-from edgemarket.queueing import ViolationProfile, build_profiles, libm_exp
+from edgemarket.queueing import ViolationProfile, build_profiles, left_sum, libm_exp
 from edgemarket.scenario import Scenario
 
 
@@ -163,9 +162,8 @@ def capacities(scenario: Scenario) -> np.ndarray:
 
 def profiles_at(scenario: Scenario, loads: np.ndarray) -> list[ViolationProfile]:
     """Every operator's violation profile at its row of an M x N load matrix."""
-    return violation_profiles(
-        scenario.operators, scenario.task, loads, scenario.solver.zeta
-    )
+    return build_profiles(stage_table(scenario.operators, scenario.task), loads,
+                          scenario.solver.zeta)
 
 
 def menus_for(
@@ -642,13 +640,8 @@ def matching_totals(
         menus, probs, pop, scenario.task, scenario.operators, violations,
         scenario.solver.opt_out_utility,
     )
-    # Summed left to right from 0.0: builtin sum() compensates rounding from
-    # Python 3.12 on.
-    total = 0.0
-    for utility in per_op:
-        total += utility
     return MatchingMetrics(
-        total_operator_utility=float(total),
+        total_operator_utility=float(left_sum(per_op)),
         social_welfare=float(welfare),
         per_operator_utility=tuple(float(x) for x in per_op),
     )

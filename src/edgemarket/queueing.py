@@ -29,7 +29,7 @@ array paths here and in `contracts` take every exp and log through them.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,6 +248,20 @@ def libm_log(x: np.ndarray) -> np.ndarray:
     return np.log(flat[::-1])[::-1].reshape(np.shape(x))
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The float sum of values, added left to right from 0.0.
+
+    Every sum on an output path adds this way. Builtin `sum()` compensates
+    float rounding from Python 3.12 on (Neumaier 1974), and `math.fsum`
+    rounds once at the end, so either would make the outputs depend on the
+    Python version; loops too hot for a call here add in the same order.
+    """
+    total = 0.0
+    for x in values:
+        total += x
+    return total
+
+
 # Series terms taken per numpy pass in `_erlang_c_lanes`: its temporaries are
 # (_BLOCK + 1) x (lanes still summing) floats. The tail ratio's lanes that
 # outlast a block are those near capacity, whose terms shrink slowest, so its
@@ -287,19 +301,13 @@ def _erlang_c_lanes(
 
 
 # A block holds one row per term and one column per lane, and its running
-# products and sums advance one row per numpy call over every lane:
-# `np.cumprod`/`np.cumsum` along a short axis cost several times as much per
-# element. Both add left to right, as the scalar loops do.
-def _cumprod_rows(block: np.ndarray) -> None:
+# products (op np.multiply) and sums (np.add) advance one row per numpy call
+# over every lane: `np.cumprod`/`np.cumsum` along a short axis cost several
+# times as much per element. Both run left to right, as the scalar loops do.
+def _accumulate_rows(op: np.ufunc, block: np.ndarray) -> None:
     rows = list(block)
     for before, row in zip(rows, rows[1:]):
-        np.multiply(before, row, out=row)
-
-
-def _cumsum_rows(block: np.ndarray) -> None:
-    rows = list(block)
-    for before, row in zip(rows, rows[1:]):
-        np.add(before, row, out=row)
+        op(before, row, out=row)
 
 
 def _bd0_lanes(x: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -317,12 +325,12 @@ def _bd0_lanes(x: np.ndarray, m: np.ndarray) -> np.ndarray:
         ejs = np.empty((_BLOCK + 1, lanes.size))
         ejs[0] = ej
         ejs[1:] = v
-        _cumprod_rows(ejs)
+        _accumulate_rows(np.multiply, ejs)
         sums = np.empty_like(ejs)
         sums[0] = s
         np.divide(ejs[1:], 2.0 * np.arange(j, j + _BLOCK)[:, None] + 1.0,
                   out=sums[1:])
-        _cumsum_rows(sums)
+        _accumulate_rows(np.add, sums)
         stop = sums[1:] == sums[:-1]
         done = stop.any(axis=0)
         out[lanes[done]] = sums[stop[:, done].argmax(axis=0) + 1, done]
@@ -351,10 +359,10 @@ def _tail_ratio_lanes(
         terms = np.empty((width + 1, lanes.size))
         terms[0] = term
         np.divide(offered, c + np.arange(k, k + width)[:, None], out=terms[1:])
-        _cumprod_rows(terms)
+        _accumulate_rows(np.multiply, terms)
         tails = terms.copy()
         tails[0] = tail
-        _cumsum_rows(tails)
+        _accumulate_rows(np.add, tails)
         stop = pmf * terms[:-1] < _EPS * (1.0 - pmf * tails[:-1])
         done = stop.any(axis=0)
         out[lanes[done]] = tails[stop[:, done].argmax(axis=0), done]
@@ -438,12 +446,7 @@ class ViolationModel:
         return cls(stages=tails, eta=eta, zeta=zeta, g_product=g_product)
 
     def mean_total(self) -> float:
-        # Summed left to right from 0.0: builtin sum() compensates float
-        # rounding from Python 3.12 on.
-        total = 0.0
-        for stage in self.stages:
-            total += stage.mean_sojourn()
-        return total
+        return left_sum(stage.mean_sojourn() for stage in self.stages)
 
 
 def violation_prob(model: ViolationModel, t: float) -> float:

@@ -9,6 +9,7 @@ below.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any
@@ -192,8 +193,9 @@ def default_scenario_obj() -> dict:
 def _get(obj: dict, key: str, kind: type | None = None) -> Any:
     """The value at dotted `key`, converted to `kind` (int or float) if given.
 
-    A missing key, a value that does not convert, and a non-integral value for
-    an integer field raise DomainError naming the key.
+    A missing key, a value that does not convert, a non-integral value for
+    an integer field and a non-finite value for a float field raise
+    DomainError naming the key.
     """
     value: Any = obj
     for part in key.split("."):
@@ -211,6 +213,10 @@ def _get(obj: dict, key: str, kind: type | None = None) -> Any:
         ) from None
     if kind is int and not isinstance(value, int) and out != float(value):
         raise DomainError(f"scenario key {key!r}: expected an integer, got {value!r}")
+    if kind is float and not math.isfinite(out):
+        raise DomainError(
+            f"scenario key {key!r}: expected a finite number, got {value!r}"
+        )
     return out
 
 
@@ -350,8 +356,13 @@ def load_scenario(
     """Defaults, then the file (if any), then dotted overrides, then the seed flag."""
     obj = default_scenario_obj()
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            file_obj = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                file_obj = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DomainError(
+                f"scenario file {str(path)!r} is not UTF-8 JSON ({exc})"
+            ) from None
         if not isinstance(file_obj, dict):
             raise DomainError("scenario file must contain a JSON object")
         _deep_merge(obj, file_obj)

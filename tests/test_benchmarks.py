@@ -1,6 +1,7 @@
 """Benchmark assignment rules: posted-menu greedy selection, post-hoc menu
 redesign, deferred acceptance, and the shared result container."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -309,3 +310,67 @@ def test_run_method_rejects_unknown_names():
     scn = single_op_scenario((5,))
     with pytest.raises(DomainError):
         run_method(scn, "BOGUS")
+
+
+# Each method's bench outputs on the default scenario (below both size gates)
+# and on `default_scenario(n_types=256)` (above both), recorded before the
+# output sums were routed through `queueing.left_sum`: float.hex of the total
+# operator utility and the social welfare, and the SHA-256 of the float.hex
+# strings, joined by spaces, of the assignment, the design congestion and
+# every menu's latencies then prices. Every later change must reproduce them
+# bit for bit.
+_PINNED_BENCH_DEFAULT = {
+    "OURS": ("0x1.516baadde73e5p+12", "0x1.516e11ec0a557p+12",
+             "9d633777ed4a7728103f862ad93ec201491ceb7ee094c2fdcfbe4a73f53f9eca"),
+    "CT": ("0x1.51675ba7165b9p+12", "0x1.516a05c3da710p+12",
+           "455cac109375895b02c6100b786834d5ce735fbbd074d6bab96771f2885474ff"),
+    "MC": ("0x1.516b1ba05ad2bp+12", "0x1.516e06eace853p+12",
+           "6bd995e6dbe4d7cc384130c612ecadde7f40b003dc375cd4b4124e98ab2c051a"),
+    "GSMC": ("0x1.516b1ba05ad2bp+12", "0x1.516e06eace853p+12",
+             "6bd995e6dbe4d7cc384130c612ecadde7f40b003dc375cd4b4124e98ab2c051a"),
+}
+_PINNED_BENCH_256_TYPES = {
+    "OURS": ("0x1.514295455f01fp+12", "0x1.51442b7ffae56p+12",
+             "c1290bfdcba92fbc07a3092548a1479509f00009082f2831deb06b751e72f5ae"),
+    "CT": ("0x1.513fdb4cc250ep+12", "0x1.51409f5671fcfp+12",
+           "6523d25e82ffcf402e3f05620477a9e7a4187f25127f64727ed0cb50ecb1bbf9"),
+    "MC": ("0x1.5141ffba38c44p+12", "0x1.5143b585abf36p+12",
+           "84bedffca05fce957f39631fe95f9bd1644f9f51f1d21b3c4e7bc0863792d124"),
+    "GSMC": ("0x1.5141ffba38c44p+12", "0x1.5143b585abf36p+12",
+             "4020854aa62fef366332d45508463d80666d59dd7a9f26f66c2e6ad1110980bf"),
+}
+
+
+def _pinned_bench(results):
+    pins = {}
+    for name, result in results.items():
+        floats = (np.asarray(result.assignment, float).ravel().tolist()
+                  + np.asarray(result.design_congestion, float).ravel().tolist()
+                  + [x for menu in result.menus for x in menu.latencies + menu.prices])
+        digest = hashlib.sha256(" ".join(float(x).hex() for x in floats).encode())
+        pins[name] = (result.total_operator_utility.hex(),
+                      result.social_welfare.hex(), digest.hexdigest())
+    return pins
+
+
+def test_bench_reproduces_its_recorded_outputs_bit_for_bit(default_results):
+    assert _pinned_bench(default_results[1]) == _PINNED_BENCH_DEFAULT
+    scn = default_scenario(n_types=256)
+    results = {name: run_method(scn, name) for name in METHODS}
+    assert _pinned_bench(results) == _PINNED_BENCH_256_TYPES
+
+
+def test_pinned_bench_reproduces_under_the_non_avx512_dispatch(run_without_avx512):
+    # The two pinned benches again, in a child process with numpy's AVX-512
+    # dispatch off.
+    code = (
+        "import importlib.util, sys\n"
+        "spec = importlib.util.spec_from_file_location('benchmark_tests', sys.argv[1])\n"
+        "module = importlib.util.module_from_spec(spec)\n"
+        "spec.loader.exec_module(module)\n"
+        "scn = module.default_scenario()\n"
+        "module.test_bench_reproduces_its_recorded_outputs_bit_for_bit(\n"
+        "    (scn, {name: module.run_method(scn, name) for name in module.METHODS}))\n"
+    )
+    proc = run_without_avx512(code, __file__)
+    assert proc.returncode == 0, proc.stderr

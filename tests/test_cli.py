@@ -1,6 +1,7 @@
 """End-to-end command tests; every command runs in process through main()."""
 
 import json
+import math
 
 import pytest
 
@@ -158,6 +159,14 @@ def test_sweep_rejects_malformed_axis(tmp_path, capsys):
         code = main(["sweep", "--out", str(tmp_path / "x"), "--sweep", sweep])
         assert code == 1, sweep
         assert capsys.readouterr().err.startswith("error:"), sweep
+    # Not finite, on any axis: the error names the axis.
+    for sweep in ("violation_cost_scale=inf", "violation_cost_scale=nan",
+                  "dirichlet_alpha=inf"):
+        code = main(["sweep", "--out", str(tmp_path / "x"), "--sweep", sweep,
+                     "--replicates", "1"])
+        assert code == 1, sweep
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and sweep.split("=")[0] in err, sweep
 
 
 def test_validate_prints_one_line_per_check(capsys):
@@ -187,6 +196,17 @@ MALFORMED = [
     (None, "solver.max_iters=abc", "solver.max_iters"),
     (None, "seed=x", "seed"),
     (None, "operators.0.uplink.servers=2.7", "operators.0.uplink.servers"),
+    # Not finite: JSON's NaN and Infinity, in --set and in a file.
+    (None, "operators.0.violation_cost=NaN", "operators.0.violation_cost"),
+    (None, "operators.0.exec_cost_per_task=Infinity",
+     "operators.0.exec_cost_per_task"),
+    (None, "operators.0.refund=NaN", "operators.0.refund"),
+    (None, "task.input_size_mb=Infinity", "task.input_size_mb"),
+    (None, "solver.temp_start=Infinity", "solver.temp_start"),
+    (None, "solver.price_step=Infinity", "solver.price_step"),
+    (None, "solver.latency_hi=Infinity", "solver.latency_hi"),
+    ({"solver": {"latency_hi": math.inf}}, None, "solver.latency_hi"),
+    ({"population": {"betas": [1e-4, math.nan]}}, None, "population.betas.1"),
 ]
 
 
@@ -206,6 +226,16 @@ def test_validate_rejects_malformed_scenarios(tmp_path, capsys, file_obj,
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert f"'{key}" in err
+
+
+@pytest.mark.parametrize("content", [b'{"seed": 1,', b"\xff\xfe{}"],
+                         ids=["truncated", "not-utf8"])
+def test_validate_rejects_an_undecodable_scenario_file(tmp_path, capsys, content):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(content)
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err
 
 
 def test_validate_fails_on_unstable_floor(capsys):

@@ -43,7 +43,7 @@ from edgemarket.contracts import (
     optimize_menu_with_profile,
     optimize_menus,
     stage_params_for,
-    violation_profiles,
+    stage_table,
 )
 from edgemarket.queueing import (
     _ARRAY_MIN_LANES,
@@ -106,7 +106,7 @@ def test_violation_profile_equals_scalar_model_bit_for_bit():
             lanes += 3 * len({x for x in loads.tolist() if 0.0 < x < capacity})
         assert lanes >= _ARRAY_MIN_LANES > 3 * 24
         zeta = float(rng.uniform(0.1, 0.95))
-        stacked = violation_profiles(specs, TASK, np.array(rows), zeta)
+        stacked = build_profiles(stage_table(specs, TASK), np.array(rows), zeta)
         for spec, loads, profile in zip(specs, rows, stacked):
             single = violation_profile(spec, TASK, loads, zeta)
             assert len(profile) == len(single) == len(loads)

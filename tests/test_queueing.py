@@ -30,6 +30,7 @@ from edgemarket.queueing import (
     _erlang_c_lanes,
     _erlang_c_table,
     _stirlerr,
+    left_sum,
     libm_exp,
     libm_log,
 )
@@ -238,6 +239,17 @@ def test_libm_helpers_give_math_bits_under_the_non_avx512_dispatch(run_without_a
     )
     proc = run_without_avx512(code, __file__)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_left_sum_adds_left_to_right_from_zero():
+    # Uncompensated: 1e16 + 1.0 rounds back to 1e16, so the 1.0 is lost,
+    # where math.fsum (and builtin sum() from Python 3.12 on) keep it.
+    values = [1e16, 1.0, -1e16]
+    assert left_sum(values) == 0.0
+    assert math.fsum(values) == 1.0
+    assert left_sum(iter(values)) == 0.0
+    # From 0.0, so a lone -0.0 sums to +0.0.
+    assert left_sum([]) == 0.0 and math.copysign(1.0, left_sum([-0.0])) == 1.0
 
 
 def test_erlang_c_is_robust_across_accepted_regimes():
