@@ -191,7 +191,6 @@ def redesign_at_assignment(
 
 def _result(
     name: str,
-    scenario: Scenario,
     assignment: np.ndarray,
     menus: tuple[ContractMenu, ...],
     design_congestion: np.ndarray,
@@ -225,8 +224,7 @@ def _redesigned(
     menus = solve.menus()
     totals = matching_totals(np.asarray(assignment, dtype=float), per_type, menus,
                              scenario, solve.violations.tolist())
-    return _result(name, scenario, assignment, menus, design, totals,
-                   converged, mixed)
+    return _result(name, assignment, menus, design, totals, converged, mixed)
 
 
 def run_ct(scenario: Scenario) -> BenchmarkResult:
@@ -234,7 +232,7 @@ def run_ct(scenario: Scenario) -> BenchmarkResult:
     menus = posted.menus()
     assignment = greedy_selection(scenario, menus)
     totals = evaluate_matching(assignment, menus, scenario)
-    return _result("CT", scenario, assignment, menus, design, totals)
+    return _result("CT", assignment, menus, design, totals)
 
 
 def run_mc(scenario: Scenario) -> BenchmarkResult:

@@ -29,54 +29,87 @@ from edgemarket.queueing import bound_dominance_margin
 from edgemarket.scenario import Scenario, load_scenario
 
 _TRACE_CSV_VERSION = "# edgemarket trace v1"
+_SWEEP_CSV_VERSION = "# edgemarket sweep v1"
+_DETAIL_FIELDS = (
+    "axis", "value", "method", "replicate", "seed",
+    "total_operator_utility", "social_welfare", "converged", "runtime_s",
+)
+_MEAN_FIELDS = (
+    "axis", "value", "method", "replicates",
+    "total_operator_utility", "social_welfare", "converged_share", "runtime_s",
+)
 
 
-def _write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _cell(value):
+    # Floats as repr, so a CSV round-trips bit for bit; flags as 0/1.
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value {value!r}")
+        return repr(float(value))
+    return value
 
 
-def _write_json(path: Path, obj) -> None:
-    # allow_nan=False: NaN and Infinity are not JSON, so they never reach a file.
-    _write_text(path, json.dumps(obj, indent=2, allow_nan=False) + "\n")
-
-
-def _matching_csv(probs: np.ndarray) -> str:
+def _csv_text(header, rows, version: str = "", row_end: str = "\n") -> str:
     buf = io.StringIO()
-    n_ops = probs.shape[1] - 1
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["type", "opt_out"] + [f"op_{m + 1}" for m in range(n_ops)])
-    for n, row in enumerate(probs):
-        writer.writerow([n + 1] + [repr(float(x)) for x in row])
+    if version:
+        buf.write(version + "\n")
+    writer = csv.writer(buf, lineterminator=row_end)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_cell(value) for value in row])
     return buf.getvalue()
 
 
-def _trace_csv(outcome: market.MarketOutcome, n_ops: int) -> str:
-    buf = io.StringIO()
-    buf.write(_TRACE_CSV_VERSION + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["iteration", "temperature", "matching_residual", "menu_residual"]
-        + [f"omega_{m + 1}" for m in range(n_ops)]
-        + [f"objective_{m + 1}" for m in range(n_ops)]
-    )
-    for rec in outcome.trace:
-        writer.writerow(
-            [rec.iteration, repr(rec.temperature), repr(rec.matching_residual),
-             repr(rec.menu_residual)]
-            + [repr(w) for w in rec.shadow_prices]
-            + [repr(v) for v in rec.objectives]
-        )
-    return buf.getvalue()
+def _write_outputs(out: Path, files: dict) -> None:
+    """Serialize every file (a `.json` one from an object, strict; a `.csv`
+    one from `_csv_text`'s arguments; any other from its text), then write
+    each atomically. A non-finite number stops it before any file is written."""
+    texts = {}
+    for name, content in files.items():
+        try:
+            if name.endswith(".json"):
+                texts[name] = json.dumps(content, indent=2, allow_nan=False) + "\n"
+            elif name.endswith(".csv"):
+                texts[name] = _csv_text(*content)
+            else:
+                texts[name] = content
+        except ValueError as exc:
+            raise DomainError(
+                f"{out / name} would hold a non-finite number ({exc})"
+            ) from None
+    for name, text in texts.items():
+        tmp = out / (name + ".tmp")
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, out / name)
+
+
+def _scenario(args: argparse.Namespace) -> Scenario:
+    return load_scenario(args.scenario, tuple(args.set), args.seed)
+
+
+def _out_dir(args: argparse.Namespace) -> Path:
+    # Made before any solve, so an unwritable --out fails at once.
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _totals(metrics: market.MatchingMetrics) -> dict:
+    return {
+        "total_operator_utility": metrics.total_operator_utility,
+        "social_welfare": metrics.social_welfare,
+        "per_operator_utility": list(metrics.per_operator_utility),
+    }
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, tuple(args.set), args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario, out = _scenario(args), _out_dir(args)
     outcome = market.run_fixed_point(scenario)
     caps = market.capacities(scenario)
+    n_ops = len(caps)
+    columns = ["opt_out"] + [f"op_{m + 1}" for m in range(n_ops)]
     assignment = market.project_matching(
         outcome.matching, caps, scenario.population,
         scenario.task.arrival_rate_per_user,
@@ -87,32 +120,37 @@ def cmd_solve(args: argparse.Namespace) -> int:
     # An operator that serves nobody but could gain has an infinite ratio,
     # which JSON has no number for: it is written as null.
     gain_ratio = float(report.max_gain_ratio)
-    if not math.isfinite(gain_ratio):
-        gain_ratio = None
 
-    _write_json(out / "menus.json",
-                {"menus": [menu_to_obj(menu) for menu in outcome.menus]})
-    _write_text(out / "matching.csv", _matching_csv(outcome.matching.probs))
-    _write_json(out / "assignment.json", {
-        "columns": ["opt_out"] + [f"op_{m + 1}" for m in range(len(caps))],
-        "assignment": [[int(x) for x in row] for row in assignment],
-    })
-    _write_text(out / "trace.csv", _trace_csv(outcome, len(caps)))
-    _write_json(out / "metrics.json", {
-        "converged": bool(outcome.converged),
-        "iterations": int(outcome.iterations),
-        "shadow_prices": [float(w) for w in outcome.shadow_prices.omegas],
-        "mixed": {
-            "total_operator_utility": mixed.total_operator_utility,
-            "social_welfare": mixed.social_welfare,
-            "per_operator_utility": list(mixed.per_operator_utility),
+    _write_outputs(out, {
+        "menus.json": {"menus": [menu_to_obj(menu) for menu in outcome.menus]},
+        "matching.csv": (
+            ["type", *columns],
+            ([n + 1, *row] for n, row in enumerate(outcome.matching.probs)),
+        ),
+        "assignment.json": {
+            "columns": columns,
+            "assignment": [[int(x) for x in row] for row in assignment],
         },
-        "projected": {
-            "total_operator_utility": projected.total_operator_utility,
-            "social_welfare": projected.social_welfare,
-            "per_operator_utility": list(projected.per_operator_utility),
-            "max_user_regret": float(report.max_regret),
-            "max_operator_gain_ratio": gain_ratio,
+        "trace.csv": (
+            ["iteration", "temperature", "matching_residual", "menu_residual"]
+            + [f"omega_{m + 1}" for m in range(n_ops)]
+            + [f"objective_{m + 1}" for m in range(n_ops)],
+            ([rec.iteration, rec.temperature, rec.matching_residual,
+              rec.menu_residual, *rec.shadow_prices, *rec.objectives]
+             for rec in outcome.trace),
+            _TRACE_CSV_VERSION,
+        ),
+        "metrics.json": {
+            "converged": bool(outcome.converged),
+            "iterations": int(outcome.iterations),
+            "shadow_prices": [float(w) for w in outcome.shadow_prices.omegas],
+            "mixed": _totals(mixed),
+            "projected": {
+                **_totals(projected),
+                "max_user_regret": float(report.max_regret),
+                "max_operator_gain_ratio":
+                    gain_ratio if math.isfinite(gain_ratio) else None,
+            },
         },
     })
     if not outcome.converged:
@@ -125,47 +163,35 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, tuple(args.set), args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario, out = _scenario(args), _out_dir(args)
     results = {name: benchmarks.run_method(scenario, name)
                for name in benchmarks.METHODS}
-    for name, result in results.items():
-        _write_json(out / f"bench_{name.lower()}.json",
-                    benchmarks.result_to_obj(result))
-
+    files = {f"bench_{name.lower()}.json": benchmarks.result_to_obj(result)
+             for name, result in results.items()}
     # Comparison table: one row per type; the fixed point as probabilities,
     # the one-shot mechanisms as the matched operator index (0 = opt out).
-    ours = results["OURS"]
     baselines = benchmarks.METHODS[1:]
-    n_ops = len(scenario.operators)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
+    files["comparison.csv"] = (
         ["type", "ours_opt_out"]
-        + [f"ours_op_{m + 1}" for m in range(n_ops)]
-        + [name.lower() for name in baselines]
+        + [f"ours_op_{m + 1}" for m in range(scenario.n_operators)]
+        + [name.lower() for name in baselines],
+        ([n + 1, *results["OURS"].mixed_matching[n]]
+         + [int(np.argmax(results[name].assignment[n])) for name in baselines]
+         for n in range(scenario.n_types)),
     )
-    for n in range(scenario.n_types):
-        row = [n + 1]
-        row += [repr(float(x)) for x in ours.mixed_matching[n]]
-        for name in baselines:
-            row.append(int(np.argmax(results[name].assignment[n])))
-        writer.writerow(row)
-    _write_text(out / "comparison.csv", buf.getvalue())
-    _write_json(out / "totals.json", {
+    files["totals.json"] = {
         name: {
-            "total_operator_utility": float(results[name].total_operator_utility),
-            "social_welfare": float(results[name].social_welfare),
-            "converged": bool(results[name].converged),
+            "total_operator_utility": float(result.total_operator_utility),
+            "social_welfare": float(result.social_welfare),
+            "converged": bool(result.converged),
         }
-        for name in benchmarks.METHODS
-    })
+        for name, result in results.items()
+    }
+    _write_outputs(out, files)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    scenario = load_scenario(args.scenario, tuple(args.set), args.seed)
     axis, sep, raw_values = args.sweep.partition("=")
     if not sep or not raw_values:
         raise DomainError("--sweep must look like AXIS=v1,v2,...")
@@ -176,13 +202,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     spec = experiments.SweepSpec(
         axis=axis.strip(), values=values, replicates=args.replicates
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    scenario, out = _scenario(args), _out_dir(args)
     rows = experiments.run_sweep(scenario, spec)
-    experiments.write_detail_csv(rows, out / f"sweep_{spec.axis}.csv")
-    experiments.write_mean_csv(
-        experiments.aggregate_rows(rows), out / f"sweep_{spec.axis}_mean.csv"
-    )
+    tables = {
+        f"sweep_{spec.axis}.csv": (_DETAIL_FIELDS, [vars(row) for row in rows]),
+        f"sweep_{spec.axis}_mean.csv":
+            (_MEAN_FIELDS, experiments.aggregate_rows(rows)),
+    }
+    # The sweep CSVs end their rows in "\r\n", the csv module's default.
+    _write_outputs(out, {
+        name: (fields, [[record[f] for f in fields] for record in records],
+               _SWEEP_CSV_VERSION, "\r\n")
+        for name, (fields, records) in tables.items()
+    })
     return 0
 
 
@@ -210,7 +242,7 @@ def _validate_small_menu_oracle(scenario: Scenario) -> tuple[bool, str]:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     checks: list[tuple[str, bool, str]] = []
-    scenario = load_scenario(args.scenario, tuple(args.set), args.seed)
+    scenario = _scenario(args)
     try:
         market.check_floor_feasible(scenario)
         checks.append(("floor-stability", True, "all operators stable at the demand floor"))
@@ -245,7 +277,7 @@ from pathlib import Path
 import matplotlib.pyplot as plt
 
 AXES = {axes!r}
-METHODS = ("OURS", "CT", "MC", "GSMC")
+METHODS = ({methods})
 HERE = Path(__file__).resolve().parent
 
 
@@ -289,16 +321,18 @@ if __name__ == "__main__":
 
 
 def cmd_emit_plots(args: argparse.Namespace) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for filename, axes in _PLOT_FAMILIES.items():
-        text = _PLOT_TEMPLATE.format(axes=tuple(axes), stem=Path(filename).stem)
-        _write_text(out / filename, text)
-    _write_text(out / "PLOTS.txt", (
+    methods = ", ".join(json.dumps(name) for name in benchmarks.METHODS)
+    files = {
+        filename: _PLOT_TEMPLATE.format(axes=tuple(axes), methods=methods,
+                                        stem=Path(filename).stem)
+        for filename, axes in _PLOT_FAMILIES.items()
+    }
+    files["PLOTS.txt"] = (
         "Run `edgemarket sweep --sweep AXIS=v1,v2,... --out <this dir>` for the\n"
         "axes you want, then run each plot_*.py here with matplotlib installed.\n"
         f"Families: {json.dumps({k: list(v) for k, v in _PLOT_FAMILIES.items()}, indent=2)}\n"
-    ))
+    )
+    _write_outputs(_out_dir(args), files)
     return 0
 
 
@@ -348,10 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DomainError, SetupError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (DomainError, SetupError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,15 @@
 """Sweep experiments comparing the market fixed point with the benchmarks.
 
 One axis is varied at a time; every (value, replicate) cell re-draws the
-user composition from its own seed and runs all four methods. Emitted CSV
-rows are reproducible bit-for-bit from (scenario, seed).
+user composition from its own seed and runs all four methods. Its rows are
+reproducible bit-for-bit from (scenario, seed); `edgemarket sweep` writes them.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Iterable
 
 from edgemarket.benchmarks import METHODS, run_method
@@ -30,16 +28,6 @@ SWEEP_AXES = (
     "violation_cost_scale",
     "dirichlet_alpha",
     "zeta",
-)
-
-_SWEEP_CSV_VERSION = "# edgemarket sweep v1"
-_DETAIL_FIELDS = (
-    "axis", "value", "method", "replicate", "seed",
-    "total_operator_utility", "social_welfare", "converged", "runtime_s",
-)
-_MEAN_FIELDS = (
-    "axis", "value", "method", "replicates",
-    "total_operator_utility", "social_welfare", "converged_share", "runtime_s",
 )
 
 
@@ -165,28 +153,3 @@ def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
             "runtime_s": _mean([r.runtime_s for r in group]),
         })
     return out
-
-
-def _cell(value):
-    # Floats as repr, so a CSV round-trips bit for bit; flags as 0/1.
-    if isinstance(value, bool):
-        return int(value)
-    return repr(float(value)) if isinstance(value, float) else value
-
-
-def _write_csv(records: Iterable[dict], fieldnames: tuple[str, ...],
-               path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_SWEEP_CSV_VERSION + "\n")
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for record in records:
-            writer.writerow({name: _cell(record[name]) for name in fieldnames})
-
-
-def write_detail_csv(rows: Iterable[SweepRow], path: str | Path) -> None:
-    _write_csv((vars(row) for row in rows), _DETAIL_FIELDS, path)
-
-
-def write_mean_csv(means: Iterable[dict], path: str | Path) -> None:
-    _write_csv(means, _MEAN_FIELDS, path)

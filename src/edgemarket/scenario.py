@@ -287,65 +287,66 @@ def default_scenario(
     return scenario_from_obj(obj)
 
 
-def _check_known(target: dict, part: str, dotted_key: str) -> None:
-    if part not in target:
-        raise DomainError(f"unknown scenario key {dotted_key!r} (at {part!r})")
-
-
-def _deep_merge(base: dict, override: dict, prefix: str = "") -> dict:
-    # Dicts merge recursively; everything else (including lists) replaces.
-    # Only keys the base has are accepted; each entry of a replacing operator
-    # list is merged into a fresh default operator just to check its keys.
+def _deep_merge(base: dict, override: dict, prefix: str = "") -> None:
+    # Only keys the base has are accepted.
     for key, value in override.items():
         dotted = prefix + key
-        _check_known(base, key, dotted)
-        if isinstance(value, dict) and isinstance(base[key], dict):
-            _deep_merge(base[key], value, dotted + ".")
-            continue
-        if dotted == "operators" and isinstance(value, list):
-            for m, entry in enumerate(value):
-                if isinstance(entry, dict):
-                    _deep_merge(default_scenario_obj()["operators"][0], entry,
-                                f"operators.{m}.")
-        base[key] = value
-    return base
+        _put(base, _key(base, key, dotted), value, dotted)
+
+
+def _put(target: dict | list, key: str | int, value: Any, dotted: str) -> None:
+    """Set `target[key]` to `value` as a scenario file does.
+
+    A dict merges into a dict key by key; anything else (including a list)
+    replaces. Each entry of a replacing operator list is merged into a fresh
+    default operator just to check its keys.
+    """
+    if isinstance(value, dict) and isinstance(target[key], dict):
+        _deep_merge(target[key], value, dotted + ".")
+        return
+    if dotted == "operators" and isinstance(value, list):
+        for m, entry in enumerate(value):
+            if isinstance(entry, dict):
+                _deep_merge(default_scenario_obj()["operators"][0], entry,
+                            f"operators.{m}.")
+    target[key] = value
+
+
+def _key(target: Any, part: str, dotted_key: str) -> str | int:
+    """`part` as a key of `target`: an in-range list index or a known dict key."""
+    if isinstance(target, list):
+        try:
+            index = int(part)
+        except ValueError:
+            raise DomainError(
+                f"scenario key {dotted_key!r}: {part!r} must be a list index"
+            ) from None
+        if not 0 <= index < len(target):
+            raise DomainError(
+                f"scenario key {dotted_key!r}: index {index} out of range"
+            )
+        return index
+    if isinstance(target, dict):
+        if part not in target:
+            raise DomainError(f"unknown scenario key {dotted_key!r} (at {part!r})")
+        return part
+    raise DomainError(
+        f"scenario key {dotted_key!r}: {part!r} does not address a container"
+    )
 
 
 def apply_override(obj: dict, dotted_key: str, raw_value: str) -> None:
-    """Apply one `a.b.0.c=value` style override onto a scenario object."""
+    """Set `a.b.0.c` to `raw_value` (JSON, else a string) as a scenario file
+    holding that value at that key would."""
     try:
         value: Any = json.loads(raw_value)
     except json.JSONDecodeError:
         value = raw_value
-    parts = dotted_key.split(".")
+    *path, last = dotted_key.split(".")
     target: Any = obj
-    for i, part in enumerate(parts):
-        last = i == len(parts) - 1
-        if isinstance(target, list):
-            try:
-                index = int(part)
-            except ValueError:
-                raise DomainError(
-                    f"scenario key {dotted_key!r}: {part!r} must be a list index"
-                ) from None
-            if not 0 <= index < len(target):
-                raise DomainError(
-                    f"scenario key {dotted_key!r}: index {index} out of range"
-                )
-            if last:
-                target[index] = value
-            else:
-                target = target[index]
-        elif isinstance(target, dict):
-            _check_known(target, part, dotted_key)
-            if last:
-                target[part] = value
-            else:
-                target = target[part]
-        else:
-            raise DomainError(
-                f"scenario key {dotted_key!r}: {part!r} does not address a container"
-            )
+    for part in path:
+        target = target[_key(target, part, dotted_key)]
+    _put(target, _key(target, last, dotted_key), value, dotted_key)
 
 
 def load_scenario(
@@ -377,6 +378,12 @@ def load_scenario(
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(scenario_to_obj(scenario), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write `scenario` as a file `load_scenario` reads back; a non-finite
+    number, which that file could not hold, raises DomainError instead."""
+    try:
+        text = json.dumps(scenario_to_obj(scenario), indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(
+            f"scenario file {str(path)!r} would hold a non-finite number ({exc})"
+        ) from None
+    Path(path).write_text(text + "\n", encoding="utf-8")

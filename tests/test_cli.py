@@ -1,19 +1,47 @@
 """End-to-end command tests; every command runs in process through main()."""
 
+import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
+from edgemarket import market
+from edgemarket.benchmarks import METHODS, run_method
 from edgemarket.cli import main
+from edgemarket.experiments import SweepSpec, run_sweep
+from edgemarket.scenario import default_scenario_obj, load_scenario
 
 SMALL = ("--set", "population.total_users=24", "--set", "population.n_types=3")
 SOLVE_OUTPUTS = ("menus.json", "matching.csv", "assignment.json", "trace.csv",
                  "metrics.json")
+BENCH_OUTPUTS = ("bench_ours.json", "bench_ct.json", "bench_mc.json",
+                 "bench_gsmc.json", "comparison.csv", "totals.json")
 
 
 def read(path):
     return path.read_text(encoding="utf-8")
+
+
+def read_csv(path):
+    """Header and rows, past any leading `#` version line."""
+    lines = [line for line in read(path).splitlines() if not line.startswith("#")]
+    header, *rows = csv.reader(lines)
+    return header, rows
+
+
+def floats(cells):
+    # Each cell is the repr of a float, which reads back to the same float.
+    assert all(cell == repr(float(cell)) for cell in cells), cells
+    return [float(cell) for cell in cells]
+
+
+def assert_menus_read_back(menus_obj, menus):
+    assert len(menus_obj) == len(menus)
+    for rows, menu in zip(menus_obj, menus):
+        assert [row["latency_s"] for row in rows] == list(menu.latencies)
+        assert [row["price_usd"] for row in rows] == list(menu.prices)
 
 
 def test_solve_writes_all_outputs(tmp_path):
@@ -76,6 +104,51 @@ def test_solve_writes_strict_json_when_an_idle_operator_could_gain(tmp_path):
     assert metrics["projected"]["max_operator_gain_ratio"] is None
 
 
+def test_solve_files_read_back_as_the_in_memory_result(tmp_path):
+    out = tmp_path / "solve"
+    assert main(["solve", "--out", str(out), *SMALL]) == 0
+    scn = load_scenario(None, SMALL[1::2])
+    outcome = market.run_fixed_point(scn)
+    assignment = market.project_matching(
+        outcome.matching, market.capacities(scn), scn.population,
+        scn.task.arrival_rate_per_user,
+    )
+    report = market.verify_selection_equilibrium(assignment, outcome.menus, scn)
+
+    assert_menus_read_back(json.loads(read(out / "menus.json"))["menus"],
+                           outcome.menus)
+    _, rows = read_csv(out / "matching.csv")
+    assert [floats(row[1:]) for row in rows] == outcome.matching.probs.tolist()
+    assert json.loads(read(out / "assignment.json"))["assignment"] == \
+        assignment.tolist()
+    _, rows = read_csv(out / "trace.csv")
+    assert len(rows) == len(outcome.trace)
+    for row, rec in zip(rows, outcome.trace):
+        assert int(row[0]) == rec.iteration
+        assert floats(row[1:]) == [rec.temperature, rec.matching_residual,
+                                   rec.menu_residual, *rec.shadow_prices,
+                                   *rec.objectives]
+
+    metrics = json.loads(read(out / "metrics.json"))
+    assert metrics["converged"] == outcome.converged
+    assert metrics["iterations"] == outcome.iterations
+    assert metrics["shadow_prices"] == list(outcome.shadow_prices.omegas)
+    for key, matching in (("mixed", outcome.matching.probs),
+                          ("projected", assignment)):
+        totals = market.evaluate_matching(matching, outcome.menus, scn)
+        assert metrics[key]["total_operator_utility"] == \
+            totals.total_operator_utility
+        assert metrics[key]["social_welfare"] == totals.social_welfare
+        assert metrics[key]["per_operator_utility"] == \
+            list(totals.per_operator_utility)
+    assert metrics["projected"]["max_user_regret"] == report.max_regret
+    # An infinite gain ratio is written as null.
+    ratio = report.max_gain_ratio
+    assert metrics["projected"]["max_operator_gain_ratio"] == (
+        ratio if math.isfinite(ratio) else None
+    )
+
+
 def test_solve_rejects_bad_override(tmp_path, capsys):
     code = main(["solve", "--out", str(tmp_path / "x"),
                  "--set", "solver.zeta=1.5"])
@@ -102,9 +175,7 @@ def test_bench_outputs_and_determinism(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     assert main(["bench", "--out", str(out1)]) == 0
     assert main(["bench", "--out", str(out2)]) == 0
-    names = ["bench_ours.json", "bench_ct.json", "bench_mc.json",
-             "bench_gsmc.json", "comparison.csv", "totals.json"]
-    for name in names:
+    for name in BENCH_OUTPUTS:
         assert (out1 / name).exists(), name
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
@@ -114,6 +185,47 @@ def test_bench_outputs_and_determinism(tmp_path):
     assert comparison[0] == ("type,ours_opt_out,ours_op_1,ours_op_2,ours_op_3"
                              ",ct,mc,gsmc")
     assert len(comparison) == 9
+
+
+def test_bench_files_read_back_as_the_in_memory_results(tmp_path):
+    out = tmp_path / "bench"
+    assert main(["bench", "--out", str(out), *SMALL]) == 0
+    scn = load_scenario(None, SMALL[1::2])
+    results = {name: run_method(scn, name) for name in METHODS}
+    totals = json.loads(read(out / "totals.json"))
+    for name, result in results.items():
+        obj = json.loads(read(out / f"bench_{name.lower()}.json"))
+        assert obj["assignment"] == result.assignment.tolist()
+        assert_menus_read_back(obj["menus"], result.menus)
+        assert obj["design_congestion"] == result.design_congestion.tolist()
+        if result.mixed_matching is not None:
+            assert obj["mixed_matching"] == result.mixed_matching.tolist()
+        for record in (obj, totals[name]):
+            assert record["total_operator_utility"] == result.total_operator_utility
+            assert record["social_welfare"] == result.social_welfare
+            assert record["converged"] == result.converged
+    _, rows = read_csv(out / "comparison.csv")
+    n_ops = scn.n_operators
+    assert len(rows) == scn.n_types
+    for n, row in enumerate(rows):
+        assert floats(row[1:n_ops + 2]) == results["OURS"].mixed_matching[n].tolist()
+        assert [int(x) for x in row[n_ops + 2:]] == [
+            int(np.argmax(results[name].assignment[n])) for name in METHODS[1:]
+        ]
+
+
+def test_seed_flag_is_applied_after_set(tmp_path):
+    # --seed applies after every --set, whatever their order on the command
+    # line, so the composition is drawn at seed 3.
+    outs = {}
+    for label, flags in (("flag", ("--seed", "3", "--set", "seed=5")),
+                         ("three", ("--seed", "3")), ("five", ("--seed", "5"))):
+        outs[label] = tmp_path / label
+        assert main(["bench", "--out", str(outs[label]), *SMALL, *flags]) == 0
+    flag, three, five = (read(outs[k] / "bench_ct.json")
+                         for k in ("flag", "three", "five"))
+    assert flag == three
+    assert flag != five
 
 
 def test_seed_flag_changes_the_composition(tmp_path):
@@ -147,6 +259,49 @@ def test_sweep_writes_detail_and_mean(tmp_path):
     # 2 values x 1 replicate x 4 methods, plus version and header lines
     assert len(detail) == 2 + 8
     assert len(mean) == 2 + 8
+
+
+def test_sweep_csvs_read_back_as_the_in_memory_rows(tmp_path):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), *SMALL,
+                 "--sweep", "total_users=24", "--replicates", "1"]) == 0
+    rows = run_sweep(load_scenario(None, SMALL[1::2]),
+                     SweepSpec(axis="total_users", values=(24.0,), replicates=1))
+    text = read(out / "sweep_total_users.csv").splitlines()
+    assert text[0] == "# edgemarket sweep v1"
+    parsed = list(csv.DictReader(text[1:]))
+    assert len(parsed) == len(rows)
+    for row, rec in zip(rows, parsed):
+        # repr round-trips floats exactly
+        assert float(rec["total_operator_utility"]) == row.total_operator_utility
+        assert float(rec["social_welfare"]) == row.social_welfare
+    assert read(out / "sweep_total_users_mean.csv").startswith(
+        "# edgemarket sweep v1\n"
+    )
+
+
+# The solve's prices and utilities overflow to inf at this alpha_worst (a
+# magnitude bound on such inputs is still open), and GSMC's margins overflow
+# with a RuntimeWarning on the way.
+OVERFLOWING = ("--set", "population.alpha_worst=1e308", *SMALL)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("command, extra, outputs", [
+    ("solve", (), SOLVE_OUTPUTS),
+    ("bench", (), BENCH_OUTPUTS),
+    ("sweep", ("--sweep", "total_users=24", "--replicates", "1"),
+     ("sweep_total_users.csv", "sweep_total_users_mean.csv")),
+], ids=["solve", "bench", "sweep"])
+def test_a_non_finite_output_writes_no_file(tmp_path, capsys, command, extra,
+                                           outputs):
+    out = tmp_path / command
+    assert main([command, "--out", str(out), *OVERFLOWING, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert any(str(out / name) in err for name in outputs), err
+    assert list(out.iterdir()) == []
 
 
 def test_sweep_rejects_malformed_axis(tmp_path, capsys):
@@ -207,6 +362,13 @@ MALFORMED = [
     (None, "solver.latency_hi=Infinity", "solver.latency_hi"),
     ({"solver": {"latency_hi": math.inf}}, None, "solver.latency_hi"),
     ({"population": {"betas": [1e-4, math.nan]}}, None, "population.betas.1"),
+    # An object or list set by --set is key-checked as a file's is.
+    (None, "task=" + json.dumps({**default_scenario_obj()["task"], "bogus": 1}),
+     "task.bogus"),
+    (None, "operators=" + json.dumps([{**default_scenario_obj()["operators"][0],
+                                       "srvers": 48}]),
+     "operators.0.srvers"),
+    (None, 'operators.0={"quality": 2.0, "bogus": 1}', "operators.0.bogus"),
 ]
 
 

@@ -1,9 +1,10 @@
 """Scenario construction, user composition draws, overrides, file round
 trips, and the sweep machinery built on top of them."""
 
-import csv
 import inspect
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,8 +35,6 @@ from edgemarket.experiments import (
     aggregate_rows,
     run_sweep,
     scenario_for_cell,
-    write_detail_csv,
-    write_mean_csv,
 )
 from edgemarket.benchmarks import run_method
 
@@ -155,6 +154,24 @@ def test_partial_scenario_file_merges_over_defaults(tmp_path):
     assert scn.solver.damping == default_scenario().solver.damping
 
 
+def test_save_scenario_rejects_a_non_finite_number(tmp_path):
+    # load_scenario rejects a non-finite float field, so such a file could
+    # not be read back: it is not written.
+    scn = replace(default_scenario(), solver=SolverConfig(price_step=math.inf))
+    path = tmp_path / "scenario.json"
+    with pytest.raises(DomainError, match="scenario.json"):
+        save_scenario(scn, path)
+    assert not path.exists()
+
+
+def test_set_merges_an_object_as_a_scenario_file_does(tmp_path):
+    path = tmp_path / "solver.json"
+    path.write_text(json.dumps({"solver": {"damping": 0.5}}), encoding="utf-8")
+    from_set = load_scenario(None, ('solver={"damping": 0.5}',))
+    assert from_set == load_scenario(path)
+    assert from_set.solver == SolverConfig(damping=0.5)
+
+
 def test_apply_override_paths():
     obj = default_scenario_obj()
     apply_override(obj, "solver.damping", "0.5")
@@ -223,7 +240,7 @@ def test_scenario_for_cell_axes():
         SweepSpec(axis="zeta", values=(0.9,), replicates=0)
 
 
-def test_sweep_single_cell_matches_direct_run(tmp_path):
+def test_sweep_single_cell_matches_direct_run():
     base = default_scenario(total_users=24, n_types=3)
     spec = SweepSpec(axis="total_users", values=(24.0,), replicates=1)
     rows = run_sweep(base, spec)
@@ -235,26 +252,10 @@ def test_sweep_single_cell_matches_direct_run(tmp_path):
         assert row.social_welfare == direct.social_welfare
         assert row.converged == direct.converged
 
-    detail = tmp_path / "detail.csv"
-    write_detail_csv(rows, detail)
-    text = detail.read_text(encoding="utf-8").splitlines()
-    assert text[0] == "# edgemarket sweep v1"
-    parsed = list(csv.DictReader(text[1:]))
-    assert len(parsed) == len(rows)
-    for row, rec in zip(rows, parsed):
-        # repr round-trips floats exactly
-        assert float(rec["total_operator_utility"]) == row.total_operator_utility
-        assert float(rec["social_welfare"]) == row.social_welfare
-
     means = aggregate_rows(rows)
     assert [m["method"] for m in means] == ["OURS", "CT", "MC", "GSMC"]
     assert means[0]["replicates"] == 1
     assert means[0]["total_operator_utility"] == rows[0].total_operator_utility
-    mean_path = tmp_path / "mean.csv"
-    write_mean_csv(means, mean_path)
-    assert mean_path.read_text(encoding="utf-8").startswith(
-        "# edgemarket sweep v1\n"
-    )
 
 
 def test_aggregate_rows_sorts_and_averages():
