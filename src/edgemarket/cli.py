@@ -23,21 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from edgemarket import benchmarks, experiments, market
-from edgemarket.contracts import check_ic_ir, menu_grid_gap, menu_to_obj
+from edgemarket.contracts import SCREENING_TOL, check_ic_ir, menu_grid_gap, menu_to_obj
 from edgemarket.errors import DomainError, SetupError
 from edgemarket.queueing import bound_dominance_margin
 from edgemarket.scenario import Scenario, load_scenario
 
 _TRACE_CSV_VERSION = "# edgemarket trace v1"
 _SWEEP_CSV_VERSION = "# edgemarket sweep v1"
-_DETAIL_FIELDS = (
-    "axis", "value", "method", "replicate", "seed",
-    "total_operator_utility", "social_welfare", "converged", "runtime_s",
-)
-_MEAN_FIELDS = (
-    "axis", "value", "method", "replicates",
-    "total_operator_utility", "social_welfare", "converged_share", "runtime_s",
-)
 
 
 def _cell(value):
@@ -51,11 +43,11 @@ def _cell(value):
     return value
 
 
-def _csv_text(header, rows, version: str = "", row_end: str = "\n") -> str:
+def _csv_text(header, rows, version: str = "") -> str:
     buf = io.StringIO()
     if version:
         buf.write(version + "\n")
-    writer = csv.writer(buf, lineterminator=row_end)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     for row in rows:
         writer.writerow([_cell(value) for value in row])
@@ -205,14 +197,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     scenario, out = _scenario(args), _out_dir(args)
     rows = experiments.run_sweep(scenario, spec)
     tables = {
-        f"sweep_{spec.axis}.csv": (_DETAIL_FIELDS, [vars(row) for row in rows]),
+        f"sweep_{spec.axis}.csv":
+            (experiments.SWEEP_FIELDS, [vars(row) for row in rows]),
         f"sweep_{spec.axis}_mean.csv":
-            (_MEAN_FIELDS, experiments.aggregate_rows(rows)),
+            (experiments.MEAN_FIELDS, experiments.aggregate_rows(rows)),
     }
-    # The sweep CSVs end their rows in "\r\n", the csv module's default.
     _write_outputs(out, {
         name: (fields, [[record[f] for f in fields] for record in records],
-               _SWEEP_CSV_VERSION, "\r\n")
+               _SWEEP_CSV_VERSION)
         for name, (fields, records) in tables.items()
     })
     return 0
@@ -225,7 +217,7 @@ def _validate_menu_ic_ir(scenario: Scenario) -> tuple[bool, str]:
         report = check_ic_ir(menu, scenario.population, spec.quality,
                              spec.refund, profile)
         worst = min(worst, report.ic_slack, report.ir_slack)
-    return worst >= -1e-9, f"worst constraint slack {worst:.3e}"
+    return worst >= -SCREENING_TOL, f"worst constraint slack {worst:.3e}"
 
 
 def _validate_small_menu_oracle(scenario: Scenario) -> tuple[bool, str]:
@@ -363,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_sweep)
     p_sweep.add_argument("--sweep", required=True, metavar="AXIS=v1,v2,...",
                          help=f"axis and values; axes: {', '.join(experiments.SWEEP_AXES)}")
-    p_sweep.add_argument("--replicates", type=int, default=5)
+    p_sweep.add_argument("--replicates", type=int,
+                         default=experiments.SweepSpec.replicates)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_validate = sub.add_parser("validate", help="run the property suite")

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 from edgemarket.benchmarks import METHODS, run_method
 from edgemarket.errors import DomainError
 from edgemarket.queueing import left_sum
-from edgemarket.scenario import (
-    Scenario,
-    default_betas,
-    dirichlet_composition,
-)
+from edgemarket.scenario import Scenario, scenario_from_obj, scenario_to_obj
 
 SWEEP_AXES = (
     "total_users",
@@ -37,35 +33,23 @@ def scenario_for_cell(
     """Apply one sweep-axis value; the composition is re-drawn at `seed`."""
     if axis not in SWEEP_AXES:
         raise DomainError(f"unknown sweep axis {axis!r}; expected one of {SWEEP_AXES}")
-    pop = base.population
-    alpha = base.dirichlet_alpha
-    betas = pop.betas
-    total = pop.total_users
-    operators = base.operators
-    solver = base.solver
+    obj = scenario_to_obj(base)
+    obj["seed"] = seed
+    population = obj["population"]
+    population["counts"] = None
     if axis == "total_users":
-        total = int(value)
+        population["total_users"] = value
     elif axis == "num_types":
-        betas = default_betas(int(value))
-    elif axis == "refund_scale":
-        operators = tuple(replace(op, refund=op.refund * value) for op in operators)
-    elif axis == "violation_cost_scale":
-        operators = tuple(
-            replace(op, violation_cost=op.violation_cost * value) for op in operators
-        )
+        population.update(n_types=value, betas=None)
+    elif axis in ("refund_scale", "violation_cost_scale"):
+        key = axis.removesuffix("_scale")
+        for op in obj["operators"]:
+            op[key] *= value
     elif axis == "dirichlet_alpha":
-        alpha = float(value)
+        obj["dirichlet_alpha"] = value
     elif axis == "zeta":
-        solver = replace(solver, zeta=float(value))
-    counts = dirichlet_composition(alpha, len(betas), total, seed)
-    return Scenario(
-        task=base.task,
-        operators=operators,
-        population=replace(pop, betas=betas, counts=counts),
-        solver=solver,
-        seed=seed,
-        dirichlet_alpha=alpha,
-    )
+        obj["solver"]["zeta"] = value
+    return scenario_from_obj(obj)
 
 
 @dataclass(frozen=True)
@@ -104,6 +88,10 @@ class SweepRow:
     runtime_s: float
 
 
+# The columns of `sweep_<axis>.csv`, in order.
+SWEEP_FIELDS = tuple(f.name for f in fields(SweepRow))
+
+
 def run_sweep(base: Scenario, spec: SweepSpec) -> list[SweepRow]:
     rows: list[SweepRow] = []
     for value in spec.values:
@@ -132,6 +120,14 @@ def _mean(values: list[float]) -> float:
     return left_sum(values) / len(values)
 
 
+# The keys of `aggregate_rows`' records: the columns of
+# `sweep_<axis>_mean.csv`, in order.
+MEAN_FIELDS = (
+    "axis", "value", "method", "replicates",
+    "total_operator_utility", "social_welfare", "converged_share", "runtime_s",
+)
+
+
 def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
     """Mean totals per (axis value, method), replicates collapsed."""
     grouped: dict[tuple[str, float, str], list[SweepRow]] = {}
@@ -142,14 +138,11 @@ def aggregate_rows(rows: Iterable[SweepRow]) -> list[dict]:
         grouped.items(), key=lambda kv: (kv[0][0], kv[0][1], METHODS.index(kv[0][2]))
     ):
         k = len(group)
-        out.append({
-            "axis": axis,
-            "value": value,
-            "method": method,
-            "replicates": k,
-            "total_operator_utility": _mean([r.total_operator_utility for r in group]),
-            "social_welfare": _mean([r.social_welfare for r in group]),
-            "converged_share": sum(1 for r in group if r.converged) / k,
-            "runtime_s": _mean([r.runtime_s for r in group]),
-        })
+        out.append(dict(zip(MEAN_FIELDS, (
+            axis, value, method, k,
+            _mean([r.total_operator_utility for r in group]),
+            _mean([r.social_welfare for r in group]),
+            sum(1 for r in group if r.converged) / k,
+            _mean([r.runtime_s for r in group]),
+        ), strict=True)))
     return out

@@ -312,15 +312,20 @@ def check_floor_feasible(scenario: Scenario) -> None:
 def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOutcome:
     """Anneal the mixed matching against per-iteration menu redesigns.
 
+    Each state carries its redesign: its cumulative loads and every
+    operator's menu solve at its demand masses. A round reads the redesign of
+    the state it starts from and ends with the one at the state it produced,
+    so the returned menus answer the returned matching's congestion.
     Non-convergence within max_iters is not an error: the iterate with the
-    smallest matching residual is returned with converged=False.
+    smallest matching residual is returned, with its redesign, and
+    converged=False.
 
     The round's state is plain arrays: the matching matrix, the shadow prices
     and each type's traffic to every operator, which prices the shadow step
-    and gives the next round's cumulative loads. The stage table, the
-    capacities and the per-type constants are built once per solve; the
-    checked `MixedMatching`, `ShadowPrices` and `CongestionVector` are built
-    once, for the returned outcome.
+    and gives the cumulative loads. The stage table, the capacities and the
+    per-type constants are built once per solve; the checked `MixedMatching`,
+    `ShadowPrices` and `CongestionVector` are built once, for the returned
+    outcome.
     """
     cfg = scenario.solver
     check_floor_feasible(scenario)
@@ -334,6 +339,13 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     utility = ItemUtilities(pop, scenario.operators)
     # Every round's profiles come from one stage table.
     table = stage_table(scenario.operators, scenario.task)
+
+    def redesign(probs, per_type) -> tuple[np.ndarray, MenuSolve]:
+        """The cumulative loads and every operator's menu solve at a state."""
+        loads = cumulative_load(per_type)
+        masses = demand_mass(probs, traffic, cfg.demand_floor)
+        return loads, menus_for(scenario, masses,
+                                build_profiles(table, loads, cfg.zeta))
 
     # Initial menus: no-competition design against the demand floor alone.
     floor_loads = np.tile(_floor_congestion(scenario), (n_ops, 1))
@@ -351,24 +363,13 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
     if keep_history:
         history.append((solve.menus(), floor_loads))
 
+    loads, solve = redesign(probs, per_type)
     converged = False
-    iterations = 0
     best_residual = math.inf
-    best_state = (probs, omegas)
-    best_round = 0
-    # The loads and menu solve of the round that starts from the best iterate.
-    after_best = None
+    best = (probs, omegas, loads, solve)
 
     for k in range(1, cfg.max_iters + 1):
-        iterations = k
         temperature = anneal(cfg.temp_schedule, k, cfg.max_iters)
-
-        loads = cumulative_load(per_type)
-        masses = demand_mass(probs, traffic, cfg.demand_floor)
-
-        solve = menus_for(scenario, masses, build_profiles(table, loads, cfg.zeta))
-        if k == best_round + 1:
-            after_best = (loads, solve)
         menu_res = float(np.max(np.abs(solve.latencies - latencies)))
 
         utilities = utility.rows(solve.latencies, solve.prices, solve.violations).T
@@ -379,7 +380,8 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
         per_type = type_traffic(new_probs, counts, delta)
         omegas = update_shadow_prices(omegas, per_type.sum(axis=0), caps,
                                       cfg.price_step)
-        user_side_ops += (loads.size + masses.size + adjusted.size
+        # The round's loads and masses are M x N each.
+        user_side_ops += (2 * loads.size + adjusted.size
                           + response.size + new_probs.size + omegas.size)
 
         trace.append(IterationRecord(
@@ -395,39 +397,30 @@ def run_fixed_point(scenario: Scenario, keep_history: bool = False) -> MarketOut
 
         latencies = solve.latencies
         probs = new_probs
-        if matching_res < best_residual:
+        converged = matching_res < cfg.matching_tol and menu_res < cfg.menu_tol
+        improved = matching_res < best_residual
+        # Only a state that the next round or the outcome reads is redesigned.
+        if converged or improved or k < cfg.max_iters:
+            loads, solve = redesign(probs, per_type)
+        if improved:
             best_residual = matching_res
-            best_state = (probs, omegas)
-            best_round = k
-        if matching_res < cfg.matching_tol and menu_res < cfg.menu_tol:
-            converged = True
+            best = (probs, omegas, loads, solve)
+        if converged:
             break
 
-    # Final redesign against the returned matching's congestion, so the
-    # returned menus are each operator's best response to it. When the best
-    # iterate is returned and a later round started from it, that round has
-    # already made exactly this redesign; otherwise the returned matching is
-    # the last round's, whose per-type traffic is at hand.
     if not converged:
-        probs, omegas = best_state
-    if not converged and best_round < iterations:
-        final_loads, final_solve = after_best
-    else:
-        final_loads = cumulative_load(per_type)
-        final_masses = demand_mass(probs, traffic, cfg.demand_floor)
-        final_solve = menus_for(scenario, final_masses,
-                                build_profiles(table, final_loads, cfg.zeta))
-    menus = final_solve.menus()
+        probs, omegas, loads, solve = best
+    menus = solve.menus()
     if keep_history:
-        history.append((menus, np.array(final_loads)))
+        history.append((menus, np.array(loads)))
 
     return MarketOutcome(
         menus=menus,
         matching=MixedMatching(probs),
         shadow_prices=ShadowPrices(omegas),
-        congestion=CongestionVector(final_loads),
+        congestion=CongestionVector(loads),
         converged=converged,
-        iterations=iterations,
+        iterations=len(trace),
         trace=tuple(trace),
         user_side_ops=user_side_ops,
         history=tuple(history),

@@ -261,6 +261,15 @@ def test_sweep_writes_detail_and_mean(tmp_path):
     assert len(mean) == 2 + 8
 
 
+def test_sweep_csvs_end_every_line_in_a_newline(tmp_path):
+    # As every other CSV does; the csv module's own default row end is "\r\n".
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--out", str(out), *SMALL,
+                 "--sweep", "total_users=24", "--replicates", "1"]) == 0
+    for name in ("sweep_total_users.csv", "sweep_total_users_mean.csv"):
+        assert b"\r" not in (out / name).read_bytes()
+
+
 def test_sweep_csvs_read_back_as_the_in_memory_rows(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--out", str(out), *SMALL,

@@ -4,6 +4,7 @@ to deterministic assignments, and the equilibrium audit."""
 import hashlib
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -507,6 +508,37 @@ def test_unconverged_solve_reuses_the_round_after_its_best_iterate(monkeypatch):
     residuals = [rec.matching_residual for rec in out.trace]
     assert residuals.index(min(residuals)) + 1 < out.iterations
     assert len(solves) == scn.n_operators * (out.iterations + 1)
+    pop, delta = scn.population, scn.task.arrival_rate_per_user
+    loads = cumulative_load(type_traffic(out.matching.probs, pop.counts, delta))
+    masses = demand_mass(out.matching.probs, np.asarray(pop.counts, float) * delta,
+                         scn.solver.demand_floor)
+    assert out.congestion.loads.tobytes() == loads.tobytes()
+    assert out.menus == menus_for(scn, masses, profiles_at(scn, loads)).menus()
+
+
+def test_capped_solve_whose_best_iterate_is_its_last_returns_its_redesign(
+        monkeypatch):
+    # Three rounds of the default scenario stop at the cap with the residual
+    # falling every round, so the last state is the best one. Its round ends
+    # with the redesign at it, and that redesign is returned.
+    base = default_scenario()
+    scn = replace(base, solver=replace(base.solver, max_iters=3))
+    solves = []
+    solve_one = contracts.optimize_menu_with_profile
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_one(*args, **kwargs)
+
+    monkeypatch.setattr(contracts, "optimize_menu_with_profile", counted)
+    calls, out = _count_user_side_calls(monkeypatch, scn)
+    assert not out.converged and out.iterations == 3
+    residuals = [rec.matching_residual for rec in out.trace]
+    assert all(a > b for a, b in zip(residuals, residuals[1:]))
+    k = out.iterations
+    assert calls["cumulative_load"] == calls["demand_mass"] == k + 1
+    # The floor design, the uniform start's and one per round.
+    assert len(solves) == scn.n_operators * (k + 2)
     pop, delta = scn.population, scn.task.arrival_rate_per_user
     loads = cumulative_load(type_traffic(out.matching.probs, pop.counts, delta))
     masses = demand_mass(out.matching.probs, np.asarray(pop.counts, float) * delta,

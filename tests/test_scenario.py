@@ -240,6 +240,28 @@ def test_scenario_for_cell_axes():
         SweepSpec(axis="zeta", values=(0.9,), replicates=0)
 
 
+@pytest.mark.parametrize("axis, value, key", [
+    ("total_users", 60, "population.total_users"),
+    ("num_types", 5, "population.n_types"),
+    ("zeta", 0.7, "solver.zeta"),
+    ("dirichlet_alpha", 0.5, "dirichlet_alpha"),
+])
+def test_a_sweep_cell_is_the_scenario_its_override_loads(axis, value, key):
+    base = load_scenario(None)
+    for seed in (0, 7):
+        assert (scenario_for_cell(base, axis, value, seed)
+                == load_scenario(None, (f"{key}={value}",), seed))
+
+
+def test_a_sweep_cell_redraws_the_pinned_counts_of_its_base():
+    base = load_scenario(None, ("population.betas=[3e-4,2e-4,1e-4]",
+                                "population.counts=[5,6,7]"))
+    cell = scenario_for_cell(base, "total_users", 30, 4)
+    assert cell.population.betas == base.population.betas
+    assert cell.population.counts == dirichlet_composition(
+        base.dirichlet_alpha, 3, 30, 4)
+
+
 def test_sweep_single_cell_matches_direct_run():
     base = default_scenario(total_users=24, n_types=3)
     spec = SweepSpec(axis="total_users", values=(24.0,), replicates=1)
